@@ -9,7 +9,9 @@ aligned text, JSON lines, or CSV.  Output is deterministic byte for byte.
 
 Evaluations outside a proven validity range still succeed; the record just
 carries an explicit annotation saying so.  Exit codes: 0 on success, 2 on
-usage errors, 1 when an internal exactness assertion fails.
+usage errors (including an unreadable or invalid diagram file), 1 when an
+internal exactness assertion fails, and 141 (128 + SIGPIPE, as for a process
+killed by a broken pipe) when the reader closes standard output early.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +30,11 @@ from . import abelian, enriques, grassmann, surface
 from .nodegen import node_polynomials
 
 FORMATS = ("text", "json", "csv")
+EXIT_BROKEN_PIPE = 141
+
+
+class InputError(Exception):
+    """Bad input the argument parser cannot see, such as a malformed diagram file."""
 
 
 @dataclass(frozen=True)
@@ -43,7 +51,7 @@ def _fmt_inputs(inputs: dict[str, int | str]) -> str:
 
 
 def emit(records: Iterable[OutputRecord], fmt: str, out: io.TextIOBase) -> None:
-    records = list(records)
+    """Write the records; json and csv stream them, text collects to align columns."""
     if fmt == "json":
         for r in records:
             payload = {
@@ -192,32 +200,44 @@ def _cmd_abelian(args: argparse.Namespace) -> list[OutputRecord]:
 
 
 def _read_diagram(path: str) -> enriques.EnriquesDiagram:
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    return enriques.from_text(text)
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        return enriques.from_text(text)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"diagram {path}: {exc}") from exc
 
 
-def _cmd_enriques(args: argparse.Namespace) -> list[OutputRecord]:
+def _cmd_enriques(args: argparse.Namespace) -> Iterable[OutputRecord]:
     if args.action == "enumerate":
-        records = []
-        for d in enriques.enumerate_diagrams(args.max_v, args.max_w):
-            flat = "; ".join(enriques.to_text(d).strip().splitlines())
-            records.append(
-                OutputRecord(
-                    "enriques",
-                    {"max-v": args.max_v, "max-w": args.max_w},
-                    flat,
-                    None,
-                    "diagram-enumeration",
-                )
+        inputs = {"max-v": args.max_v, "max-w": args.max_w}
+        return (
+            OutputRecord(
+                "enriques",
+                inputs,
+                "; ".join(enriques.to_text(d).strip().splitlines()),
+                None,
+                "diagram-enumeration",
             )
-        return records
+            for d in enriques.enumerate_diagrams(args.max_v, args.max_w)
+        )
     diagram = _read_diagram(args.file)
-    inputs: dict[str, int | str] = {"file": args.file}
-    if args.action == "check":
+    try:
+        result, ref = _diagram_result(args.action, diagram)
+    except ValueError as exc:  # not a valid (single-root) diagram
+        raise InputError(f"diagram {args.file}: {exc}") from exc
+    return [OutputRecord("enriques", {"file": args.file}, result, None, ref)]
+
+
+def _diagram_result(action: str, diagram: enriques.EnriquesDiagram) -> tuple[str, str]:
+    """The result text and reference tag of one diagram query."""
+    if action == "check":
         violation = enriques.validate(diagram)
-        result = "ok" if violation is None else str(violation)
-        return [OutputRecord("enriques", inputs, result, None, "diagram-check")]
-    if args.action == "invariants":
+        return ("ok" if violation is None else str(violation)), "diagram-check"
+    if action == "invariants":
         inv = enriques.invariants(diagram)
         parts = [
             f"roots={inv.roots}", f"free={inv.free_vertices}", f"dim={inv.dim}",
@@ -226,15 +246,13 @@ def _cmd_enriques(args: argparse.Namespace) -> list[OutputRecord]:
         ]
         if inv.jacobian_mult is not None:
             parts.append(f"e={inv.jacobian_mult}")
-        return [
-            OutputRecord("enriques", inputs, " ".join(parts), None, "diagram-invariants")
-        ]
+        return " ".join(parts), "diagram-invariants"
     report = enriques.inequality_report(diagram)
     body = " ".join(
         f"{r.part}={'eq' if r.equality else ('holds' if r.holds else 'FAIL')}"
         for r in report
     )
-    return [OutputRecord("enriques", inputs, body, None, "diagram-inequalities")]
+    return body, "diagram-inequalities"
 
 
 def _cmd_validity(args: argparse.Namespace) -> list[OutputRecord]:
@@ -364,12 +382,17 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
             parser.error("--oracle needs --g")
     elif sc == "enriques":
         if args.action == "enumerate":
+            if args.file is not None:
+                parser.error("enriques enumerate takes no diagram file")
             if args.max_v is None or args.max_w is None:
                 parser.error("enumerate needs --max-v and --max-w")
-            if args.max_v > 7 or args.max_w > 6:
-                parser.error("enumeration limits: --max-v <= 7, --max-w <= 6")
-        elif args.file is None:
-            parser.error(f"enriques {args.action} needs a diagram file (or -)")
+            if not (1 <= args.max_v <= 7 and 1 <= args.max_w <= 6):
+                parser.error("enumeration limits: 1 <= --max-v <= 7, 1 <= --max-w <= 6")
+        else:
+            if args.max_v is not None or args.max_w is not None:
+                parser.error(f"--max-v and --max-w apply only to enumerate, not {args.action}")
+            if args.file is None:
+                parser.error(f"enriques {args.action} needs a diagram file (or -)")
     elif sc == "validity":
         need = {
             "plane": ("r", "m"),
@@ -390,11 +413,22 @@ def run(argv: Sequence[str]) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        records = args.handler(args)
+        # records may be lazy, so errors can surface while emitting
+        emit(args.handler(args), args.format, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (``| head``).  Point stdout at devnull so
+        # the interpreter's flush at exit does not fail a second time.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    except InputError as exc:
+        print(f"nodecount: error: {exc}", file=sys.stderr)
+        return 2
     except (AssertionError, ValueError, OSError) as exc:
         print(f"nodecount: error: {exc}", file=sys.stderr)
         return 1
-    emit(records, args.format, sys.stdout)
     return 0
 
 

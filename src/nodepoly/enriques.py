@@ -35,10 +35,10 @@ verification of a family of sharp inequalities among these invariants.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -131,16 +131,30 @@ def validate(diagram: EnriquesDiagram) -> Violation | None:
                 i,
                 f"parent {v.parent} is not proximate to the remote target {v.remote}",
             )
+    loads, has_child = _proximity(diagram)
     for i, v in enumerate(diagram.vertices):
-        load = sum(diagram.vertices[j].weight for j in diagram.proximate_to(i))
-        if v.weight < load:
+        if v.weight < loads[i]:
             return Violation(
-                "proximity-inequality", i, f"weight {v.weight} < proximate total {load}"
+                "proximity-inequality", i, f"weight {v.weight} < proximate total {loads[i]}"
             )
     for i, v in enumerate(diagram.vertices):
-        if v.weight == 1 and v.remote is None and diagram.is_leaf(i):
+        if v.weight == 1 and v.remote is None and not has_child[i]:
             return Violation("minimality", i, "free leaf of weight 1")
     return None
+
+
+def _proximity(diagram: EnriquesDiagram) -> tuple[list[int], list[bool]]:
+    """Per vertex, in one pass: the total weight proximate to it, and whether
+    it has a child.  Agrees with ``proximate_to`` and ``is_leaf``."""
+    loads = [0] * len(diagram)
+    has_child = [False] * len(diagram)
+    for v in diagram.vertices:
+        if v.parent is not None:
+            loads[v.parent] += v.weight
+            has_child[v.parent] = True
+        if v.remote is not None and v.remote != v.parent:
+            loads[v.remote] += v.weight
+    return loads, has_child
 
 
 @dataclass(frozen=True)
@@ -172,10 +186,8 @@ def invariants(diagram: EnriquesDiagram) -> DiagramInvariants:
     frs = sum(1 for i in range(len(diagram)) if not diagram.is_satellite(i))
     deg = sum(comb(v.weight + 1, 2) for v in diagram.vertices)
     delta = sum(comb(v.weight, 2) for v in diagram.vertices)
-    branches = sum(
-        v.weight - sum(diagram.vertices[j].weight for j in diagram.proximate_to(i))
-        for i, v in enumerate(diagram.vertices)
-    )
+    loads, _ = _proximity(diagram)
+    branches = sum(v.weight for v in diagram.vertices) - sum(loads)
     dim = len(roots) + frs
     milnor = 2 * delta - branches + len(roots)
     jac = None
@@ -307,21 +319,34 @@ def canonical_key(diagram: EnriquesDiagram) -> tuple[TreeKey, ...]:
     return tuple(sorted(subtree(r) for r in diagram.roots()))
 
 
-def _rebuild(keys: Iterable[TreeKey]) -> EnriquesDiagram:
-    """The canonical representative with the given per-tree keys."""
+def _tree(key: TreeKey) -> tuple[Vertex, ...]:
+    """The canonical single-root diagram with this key, numbered from 0."""
     verts: list[Vertex] = []
+    path: list[int] = []  # ancestors of the vertex being placed, root first
 
-    def emit(key: TreeKey, parent: int | None, path: list[int]) -> None:
+    def visit(key: TreeKey, parent: int | None) -> None:
         weight, offset, children = key
         idx = len(verts)
-        remote = path[-offset] if offset else None
-        verts.append(Vertex(weight, parent, remote))
+        verts.append(Vertex(weight, parent, path[-offset] if offset else None))
+        path.append(idx)
         for child in children:
-            emit(child, idx, path + [idx])
+            visit(child, idx)
+        path.pop()
 
-    for key in keys:
-        emit(key, None, [])
-    return EnriquesDiagram(tuple(verts))
+    visit(key, None)
+    return tuple(verts)
+
+
+def _shift(tree: tuple[Vertex, ...], base: int) -> tuple[Vertex, ...]:
+    """The tree's vertices renumbered to start at ``base``."""
+    return tuple(
+        Vertex(
+            v.weight,
+            None if v.parent is None else v.parent + base,
+            None if v.remote is None else v.remote + base,
+        )
+        for v in tree
+    )
 
 
 def _single_root_catalog(max_vertices: int, max_weight: int) -> list[TreeKey]:
@@ -389,35 +414,44 @@ def _single_root_catalog(max_vertices: int, max_weight: int) -> list[TreeKey]:
     return sorted(found)
 
 
-@lru_cache(maxsize=None)
-def _forest_catalog(max_vertices: int, max_weight: int) -> tuple[tuple[TreeKey, ...], ...]:
-    trees = _single_root_catalog(max_vertices, max_weight)
-    sizes = [_key_size(t) for t in trees]
-    forests: list[tuple[TreeKey, ...]] = []
+def _forests(sizes: list[int], max_vertices: int) -> Iterator[tuple[int, ...]]:
+    """Forests as non-decreasing tuples of tree indices, streamed in order.
 
-    def choose(start: int, room: int, picked: list[TreeKey]) -> None:
-        if picked:
-            forests.append(tuple(picked))
-        for i in range(start, len(trees)):
-            if sizes[i] <= room:
-                picked.append(trees[i])
-                choose(i, room - sizes[i], picked)
-                picked.pop()
+    By total size first, then lexicographically: for each total the
+    recursion extends a prefix in index order and yields only exact sums.
+    ``fits[room]`` lists the trees of size at most ``room``, so no step
+    looks at a tree that cannot fit.
+    """
+    fits = [[i for i, size in enumerate(sizes) if size <= room]
+            for room in range(max_vertices + 1)]
+    picked: list[int] = []
 
-    choose(0, max_vertices, [])
-    return tuple(sorted(forests, key=lambda f: (sum(_key_size(t) for t in f), f)))
+    def choose(start: int, room: int) -> Iterator[tuple[int, ...]]:
+        if room == 0:
+            yield tuple(picked)
+            return
+        candidates = fits[room]
+        for i in candidates[bisect_left(candidates, start):]:
+            picked.append(i)
+            yield from choose(i, room - sizes[i])
+            picked.pop()
 
-
-def _key_size(key: TreeKey) -> int:
-    return 1 + sum(_key_size(c) for c in key[2])
+    for total in range(1, max_vertices + 1):
+        yield from choose(0, total)
 
 
 def enumerate_diagrams(max_vertices: int, max_weight: int) -> Iterator[EnriquesDiagram]:
-    """All valid minimal diagrams up to isomorphism, smallest first.
+    """All valid minimal diagrams up to isomorphism, streamed in a fixed order.
+
+    The order is by vertex count, then by canonical key (the sorted tuple
+    of tree keys), so ``(len(d), canonical_key(d))`` strictly increases.
+    Multi-root diagrams are included (a forest is a multiset of its trees).
+    Each diagram is built as it is yielded; only the single-root catalog
+    (each tree also renumbered for the positions it takes in a forest) is
+    held in memory.  Every yielded diagram passes validate.
 
     Exhaustive at desk scale; the limits are capped at 7 vertices and
-    weight 6.  Multi-root diagrams are included (a forest is a multiset of
-    its trees).  Every yielded diagram passes validate.
+    weight 6.  Limits below 1 yield nothing.
     """
     if max_vertices > 7:
         raise ValueError(f"max_vertices capped at 7: {max_vertices}")
@@ -425,8 +459,17 @@ def enumerate_diagrams(max_vertices: int, max_weight: int) -> Iterator[EnriquesD
         raise ValueError(f"max_weight capped at 6: {max_weight}")
     if max_vertices < 1 or max_weight < 1:
         return
-    for forest in _forest_catalog(max_vertices, max_weight):
-        yield _rebuild(forest)
+    trees = [_tree(key) for key in _single_root_catalog(max_vertices, max_weight)]
+    # (tree, index of its root) -> its vertices, renumbered from that index
+    placed = {(i, 0): tree for i, tree in enumerate(trees)}
+    for forest in _forests([len(t) for t in trees], max_vertices):
+        verts: tuple[Vertex, ...] = ()
+        for i in forest:
+            key = (i, len(verts))
+            if key not in placed:
+                placed[key] = _shift(trees[i], len(verts))
+            verts += placed[key]
+        yield EnriquesDiagram(verts)
 
 
 # -- text format ------------------------------------------------------------

@@ -3,16 +3,29 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from nodepoly.cli import run
+import nodepoly
+from nodepoly.cli import EXIT_BROKEN_PIPE, FORMATS, run
 from nodepoly.enriques import named_diagram, to_text
 
 GOLDEN = Path(__file__).parent / "golden"
+
+#: SHA-256 of ``enriques enumerate --max-v 5 --max-w 4`` per format, recorded
+#: from the enumeration as it stood before forests were streamed.
+ENUMERATE_5_4_SHA256 = {
+    "text": "66bc69fed3f915190a7be56fa0121a7ada0f9e0d4ded98258e8ef9bc21371bd7",
+    "json": "42a722aa55aa56839761639c7b5ecf40d598a7ae28220a24b10535bd7f24cae7",
+    "csv": "d7329ba553adce53f40e04457dddf99290148930b6f44bff59147ab97f5dd2d9",
+}
 
 
 def invoke(capsys, *argv: str) -> tuple[int, str]:
@@ -149,6 +162,45 @@ class TestEnriques:
         assert code == 0
         assert json.loads(out)["result"] == "0 2 - -"
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_enumerate_output_pinned(self, capsys, fmt):
+        code, out = invoke(
+            capsys, "enriques", "enumerate", "--max-v", "5", "--max-w", "4", "--format", fmt
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_5_4_SHA256[fmt]
+
+    def test_error_mid_stream_is_reported(self, capsys, monkeypatch):
+        def failing(max_v, max_w):
+            yield named_diagram("A", 1)
+            raise AssertionError("exactness check failed")
+
+        monkeypatch.setattr("nodepoly.enriques.enumerate_diagrams", failing)
+        code = run(["enriques", "enumerate", "--max-v", "2", "--max-w", "2",
+                    "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["result"] == "0 2 - -"
+        assert captured.err == "nodecount: error: exactness check failed\n"
+
+    def test_closed_pipe_exits_quietly(self):
+        # the output (1.6 MB) outgrows the pipe buffer, so the writer sees
+        # the reader go away after the first line
+        src = str(Path(nodepoly.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "nodepoly.cli", "enriques", "enumerate",
+             "--max-v", "6", "--max-w", "5", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert json.loads(first)["ref"] == "diagram-enumeration"
+        assert err == b""
+        assert proc.returncode == EXIT_BROKEN_PIPE
+
 
 class TestValidity:
     def test_plane(self, capsys):
@@ -180,7 +232,36 @@ class TestErrors:
         assert run(["enriques", "enumerate"]) == 2
 
     def test_missing_file(self, capsys):
-        assert run(["enriques", "check", "/nonexistent/x.diagram"]) == 1
+        assert run(["enriques", "check", "/nonexistent/x.diagram"]) == 2
+        assert "nodecount: error: diagram /nonexistent/x.diagram" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("action", ["check", "invariants", "inequalities"])
+    def test_malformed_file(self, capsys, tmp_path, action):
+        path = tmp_path / "bad.diagram"
+        path.write_text("0 2 - -\n2 1 0 -\n")
+        assert run(["enriques", action, str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("action", ["invariants", "inequalities"])
+    def test_invalid_diagram_file(self, capsys, tmp_path, action):
+        path = tmp_path / "free-leaf.diagram"
+        path.write_text("0 1 - -\n")
+        assert run(["enriques", action, str(path)]) == 2
+        assert "minimality" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enriques", "enumerate", "x.diagram", "--max-v", "2", "--max-w", "2"],
+            ["enriques", "check", "x.diagram", "--max-v", "3"],
+            ["enriques", "invariants", "x.diagram", "--max-w", "3"],
+            ["enriques", "enumerate", "--max-v", "0", "--max-w", "2"],
+            ["enriques", "enumerate", "--max-v", "2", "--max-w", "-1"],
+        ],
+    )
+    def test_enriques_conflicting_or_out_of_domain(self, capsys, argv):
+        assert run(argv) == 2
+        assert capsys.readouterr().out == ""
 
     def test_no_args(self, capsys):
         assert run([]) == 2

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from nodepoly.enriques import (
     EnriquesDiagram,
     Vertex,
+    _proximity,
     canonical_key,
     enumerate_diagrams,
     from_text,
@@ -16,6 +19,8 @@ from nodepoly.enriques import (
     to_text,
     validate,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 A1 = named_diagram("A", 1)
 A2 = named_diagram("A", 2)
@@ -61,6 +66,28 @@ class TestValidate:
         )
         violation = validate(bad)
         assert violation is not None and violation.axiom == "proximity-chain"
+
+    def test_proximity_pass_matches_per_vertex_queries(self):
+        # the one-pass loads validate and invariants share, against the
+        # per-vertex definitions, on valid diagrams and on broken variants
+        for d in enumerate_diagrams(5, 4):
+            variants = [d]
+            for i, v in enumerate(d.vertices):
+                verts = list(d.vertices)
+                verts[i] = Vertex(v.weight + 1, v.parent, v.remote)
+                variants.append(EnriquesDiagram(tuple(verts)))
+                if v.parent is not None:
+                    verts[i] = Vertex(v.weight, v.parent, v.parent)
+                    variants.append(EnriquesDiagram(tuple(verts)))
+            for x in variants:
+                loads = [
+                    sum(x.vertices[j].weight for j in x.proximate_to(i))
+                    for i in range(len(x))
+                ]
+                leaves = [x.is_leaf(i) for i in range(len(x))]
+                got_loads, has_child = _proximity(x)
+                assert got_loads == loads
+                assert [not c for c in has_child] == leaves
 
     def test_nonpositive_weight(self):
         violation = validate(EnriquesDiagram((Vertex(0),)))
@@ -182,6 +209,17 @@ class TestEnumeration:
     def test_multi_root_included(self):
         keys = {canonical_key(d) for d in enumerate_diagrams(2, 2)}
         assert canonical_key(named_diagram("rA1", 2)) in keys
+
+    def test_counts_match_golden(self):
+        # line v: the number of diagrams with at most v vertices, weights <= 6
+        golden = [int(n) for n in (GOLDEN / "enriques_counts.txt").read_text().split()]
+        counts = [sum(1 for _ in enumerate_diagrams(v, 6)) for v in range(1, 8)]
+        assert counts == golden
+
+    def test_order_by_size_then_key(self):
+        # strictly increasing: the order contract, and no duplicates
+        order = [(len(d), canonical_key(d)) for d in enumerate_diagrams(6, 5)]
+        assert all(a < b for a, b in zip(order, order[1:]))
 
 
 class TestTextFormat:
