@@ -9,7 +9,6 @@ their invariant inequalities.  All arithmetic is exact.
 """
 
 from .abelian import (
-    AbelianSetup,
     abelian_aq,
     abelian_count,
     bryan_leung_count,
@@ -29,7 +28,7 @@ from .enriques import (
     named_diagram,
     validate,
 )
-from .exactpoly import ExactRational, Homogeneity, Poly, parse
+from .exactpoly import ExactnessError, Homogeneity, Poly, parse
 from .grassmann import (
     grass_aq,
     grass_integrate,
@@ -44,22 +43,22 @@ from .surface import (
     ChernNumbers,
     plane_count,
     plane_validity,
-    pushforward_monomial,
     severi_degree,
     surface_aq,
 )
+from .truncated import Truncated
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbelianSetup",
     "ChernNumbers",
     "DiagramInvariants",
     "EnriquesDiagram",
-    "ExactRational",
+    "ExactnessError",
     "Homogeneity",
     "NodePolynomialSet",
     "Poly",
+    "Truncated",
     "Vertex",
     "abelian_aq",
     "abelian_count",
@@ -80,7 +79,6 @@ __all__ = [
     "parse",
     "plane_count",
     "plane_validity",
-    "pushforward_monomial",
     "q_transform",
     "quintic_irreducible",
     "severi_degree",

@@ -39,207 +39,106 @@ Enriques variants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from typing import Any, Mapping
+from math import factorial
 
 from .bell import bell_value
-from .exactpoly import Poly, Scalar
+from .exactpoly import ExactnessError, Poly, evaluate_in, parse
 from .nodegen import node_polynomials
+from .truncated import Truncated
 
-#: Basis of the base algebra with grades; ONE is the fundamental class.
-_BASE_GRADE = {"one": 0, "C1": 1, "C1SQ": 2, "C2": 2}
+#: The fiber grading: l^j = 0 for j > 4, and integration over the first
+#: factor, keyed by the exponent of l.
+_FIBER = {"l": 1}
+_FIBER_CAP = 4
+_FIBER_INTEGRALS = {
+    (2,): Poly.variable("d"),
+    (3,): 6 * Poly.variable("C1"),
+    (4,): parse("12*C1^2 - 24*C2"),
+}
 
-_COEFF_CONTEXT = ("d", "h")
+#: The base grading: classes on the dual surface above degree 2 vanish.
+_BASE = {"C1": 1, "C2": 2}
+_BASE_CAP = 2
 
+#: Weight of each base monomial, keyed by the exponents of (C1, C2), in the
+#: point count through g general points.  The g point conditions contribute
+#: h^g; pushing h^(g+r-j) to the dual surface gives the fundamental class,
+#: -C1, or C1^2 - C2 as j = 2, 1, 0, and the top integrals are
+#: integral C1^2 = d, integral C2 = d/2 - 1.
+_POINT_INTEGRALS = {
+    (0, 0): parse("1/2*d + 1"),  # C1^2 - C2 integrated
+    (1, 0): parse("-d"),  # C1 * (-C1) integrated
+    (2, 0): Poly.variable("d"),
+    (0, 1): parse("1/2*d - 1"),
+}
 
-def _base_product(x: str, y: str) -> str | None:
-    """Product in the graded base algebra; None means truncated to zero."""
-    if x == "one":
-        return y
-    if y == "one":
-        return x
-    if x == "C1" and y == "C1":
-        return "C1SQ"
-    return None  # total grade exceeds 2
+#: A class of total grade r has weighted degree r in these weights.
+_TOTAL_GRADE = {"C1": 1, "C2": 2, "h": 1, "d": 0}
 
-
-class YClass:
-    """A class on the bundle Y: a polynomial in h over the graded base.
-
-    Components map basis keys to polynomials in (d, h).  Sums and products
-    stay in the algebra; base grade is capped at 2 and C1*C1 folds into
-    C1SQ.  Total grade (h power plus base grade) is preserved by products,
-    which is what makes the final integration a three-term affair.
-    """
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: Mapping[str, Poly | Scalar]):
-        clean: dict[str, Poly] = {}
-        for key, value in components.items():
-            if key not in _BASE_GRADE:
-                raise ValueError(f"unknown base element {key!r}")
-            poly = value if isinstance(value, Poly) else Poly.constant(value, _COEFF_CONTEXT)
-            poly = poly.in_context(_COEFF_CONTEXT)
-            if not poly.is_zero():
-                clean[key] = poly
-        self.components = clean
-
-    @classmethod
-    def one(cls) -> YClass:
-        return cls({"one": 1})
-
-    @classmethod
-    def zero(cls) -> YClass:
-        return cls({})
-
-    def component(self, key: str) -> Poly:
-        return self.components.get(key, Poly.zero(_COEFF_CONTEXT))
-
-    def __add__(self, other: Any) -> YClass:
-        if not isinstance(other, YClass):
-            return NotImplemented
-        out = dict(self.components)
-        for key, poly in other.components.items():
-            out[key] = out.get(key, Poly.zero(_COEFF_CONTEXT)) + poly
-        return YClass(out)
-
-    def __sub__(self, other: Any) -> YClass:
-        return self + (-other)
-
-    def __neg__(self) -> YClass:
-        return YClass({k: -p for k, p in self.components.items()})
-
-    def __mul__(self, other: Any) -> YClass:
-        if isinstance(other, (int, Fraction, Poly)):
-            return YClass({k: p * other for k, p in self.components.items()})
-        if not isinstance(other, YClass):
-            return NotImplemented
-        out: dict[str, Poly] = {}
-        for k1, p1 in self.components.items():
-            for k2, p2 in other.components.items():
-                key = _base_product(k1, k2)
-                if key is None:
-                    continue
-                out[key] = out.get(key, Poly.zero(_COEFF_CONTEXT)) + p1 * p2
-        return YClass(out)
-
-    def __rmul__(self, other: Any) -> YClass:
-        return self.__mul__(other)
-
-    def __pow__(self, exponent: int) -> YClass:
-        result = YClass.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __eq__(self, other: Any) -> bool:
-        return isinstance(other, YClass) and self.components == other.components
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k}: {p}" for k, p in sorted(self.components.items()))
-        return f"YClass({{{body}}})"
-
-
-def _pure_v_coefficient(q: int) -> Fraction:
-    """Coefficient of v^(q+2) in b_q, the only term surviving w1 = w2 = 0."""
-    bq = node_polynomials().b(q)
-    return bq.terms.get((q + 2, 0, 0), Fraction(0))
+_AQ_CONTEXT = ("C1", "C2", "h", "d")
 
 
 @lru_cache(maxsize=None)
-def abelian_aq(q: int) -> YClass:
-    """a_q on the abelian family, polynomial in d (never rational in d).
+def abelian_aq(q: int) -> Poly:
+    """a_q on the abelian family, a polynomial in (C1, C2, h, d).
 
     With w's zero, b_q = kappa_q * v^(q+2) and v = l + h; expanding the
     binomial and applying the l-integration table gives
 
         a_q = kappa_q * ( C(q+2,2)*d*h^q + 6*C(q+2,3)*C1*h^(q-1)
-                          + 12*C(q+2,4)*(C1SQ - 2*C2)*h^(q-2) )
+                          + 12*C(q+2,4)*(C1^2 - 2*C2)*h^(q-2) )
+
+    which is polynomial in d (never rational in d).
     """
     if not 1 <= q <= 8:
         raise ValueError(f"q must be in 1..8: {q}")
-    kappa = _pure_v_coefficient(q)
-    d = Poly.variable("d", _COEFF_CONTEXT)
-    h = Poly.variable("h", _COEFF_CONTEXT)
-    n = q + 2
-    components: dict[str, Poly] = {"one": kappa * comb(n, 2) * d * h**q}
-    if q >= 1:
-        components["C1"] = kappa * comb(n, 3) * 6 * h ** (q - 1)
-    if q >= 2:
-        components["C1SQ"] = kappa * comb(n, 4) * 12 * h ** (q - 2)
-        components["C2"] = kappa * comb(n, 4) * (-24) * h ** (q - 2)
-    cls = YClass(components)
-    for poly in cls.components.values():
-        assert all(c.denominator == 1 for c in poly.terms.values()), (
-            f"a_{q} picked up a rational coefficient; route bug"
-        )
+    zero = Truncated(0, _FIBER, _FIBER_CAP)
+    values = {"v": Truncated(parse("l + h"), _FIBER, _FIBER_CAP), "w1": zero, "w2": zero}
+    pushed = evaluate_in(node_polynomials().b(q), values, Truncated(1, _FIBER, _FIBER_CAP))
+    aq = pushed.integrate(_FIBER_INTEGRALS).in_context(_AQ_CONTEXT)
+    if any(c.denominator != 1 for c in aq.terms.values()):
+        raise ExactnessError(f"a_{q} picked up a rational coefficient; route bug")
+    return aq
+
+
+def nodal_locus_class(r: int) -> Poly:
+    """The class of the r-nodal locus on Y: P_r(a_1,...,a_r)/r!.
+
+    A polynomial in (C1, C2, h, d) of total grade r, with base grade at most 2.
+    """
+    if not 0 <= r <= 8:
+        raise ValueError(f"r must be in 0..8: {r}")
+    aq = [Truncated(abelian_aq(q), _BASE, _BASE_CAP) for q in range(1, r + 1)]
+    cls = bell_value(r, aq, Truncated(1, _BASE, _BASE_CAP)).poly / factorial(r)
+    if not cls.is_weighted_homogeneous(_TOTAL_GRADE, r):
+        raise ExactnessError(f"the {r}-nodal class is not pure of total grade {r}")
     return cls
 
 
-def nodal_locus_class(r: int) -> YClass:
-    """The class of the r-nodal locus on Y: P_r(a_1,...,a_r)/r!."""
-    if not 0 <= r <= 8:
-        raise ValueError(f"r must be in 0..8: {r}")
-    aq = [abelian_aq(q) for q in range(1, r + 1)]
-    return bell_value(r, aq, YClass.one()) * Fraction(1, factorial(r))
+def _pushed_count(r: int, table: dict) -> Poly:
+    """Integrate the r-nodal class through a base table, as a polynomial in g.
 
-
-def _graded_parts(cls: YClass, r: int) -> dict[str, Poly]:
-    """Split a pure total-grade-r class into base parts, checking that the
-    h power attached to each base element is exactly r minus its grade."""
-    h = Poly.variable("h", _COEFF_CONTEXT)
-    parts: dict[str, Poly] = {}
-    for key, poly in cls.components.items():
-        j = _BASE_GRADE[key]
-        scalar = poly.coefficient_of("h", r - j) if r - j >= 0 else Poly.zero(("d",))
-        assert poly == scalar.in_context(_COEFF_CONTEXT) * h ** max(r - j, 0), (
-            f"component {key} of the {r}-nodal class is not pure of total grade {r}"
-        )
-        parts[key] = scalar.in_context(("d",))
-    return parts
-
-
-def _integral_weights() -> dict[str, Poly]:
-    """Weight of each base part in the point count through g general points.
-
-    The g point conditions contribute h^g; pushing h^(g+r-j) to the dual
-    surface gives the fundamental class, -C1, or C1^2 - C2 as j = 2, 1, 0,
-    and the top integrals are integral C1SQ = d, integral C2 = d/2 - 1.
+    Purity fixes the h power of each base monomial, so h is set to 1, and d
+    is eliminated by adjunction, d = 2g + 2r - 2.
     """
-    d = Poly.variable("d")
-    return {
-        "one": d - (d / 2 - 1),  # (C1SQ - C2) integrated
-        "C1": -d,  # C1 * (-C1) integrated
-        "C1SQ": d,
-        "C2": d / 2 - 1,
-    }
-
-
-def _substitute_d(poly_in_d: Poly, r: int) -> Poly:
+    pushed = Truncated(nodal_locus_class(r), _BASE, _BASE_CAP).integrate(table)
     g = Poly.variable("g")
-    return poly_in_d.substitute({"d": 2 * g + 2 * r - 2}).in_context(("g",))
+    return pushed.substitute({"h": 1, "d": 2 * g + 2 * r - 2}).in_context(("g",))
 
 
 def _check_integer_valued(poly: Poly, var: str, count: int) -> None:
     # integer values at enough consecutive integers pin integrality everywhere
     for value in range(count):
         if poly.evaluate({var: value}).denominator != 1:
-            raise AssertionError(f"{poly} is not integer-valued at {var}={value}")
+            raise ExactnessError(f"{poly} is not integer-valued at {var}={value}")
 
 
 def abelian_count(r: int) -> Poly:
     """N_{g,r} as a polynomial in g: curves of genus g with r nodes in the
     class, through g general points.  Degree r+1, integer-valued."""
-    parts = _graded_parts(nodal_locus_class(r), r)
-    weights = _integral_weights()
-    total = Poly.zero(("d",))
-    for key, scalar in parts.items():
-        total = total + scalar * weights[key]
-    result = _substitute_d(total, r)
+    result = _pushed_count(r, _POINT_INTEGRALS)
     _check_integer_valued(result, "g", r + 3)
     return result
 
@@ -248,8 +147,7 @@ def fixed_class_count(r: int) -> Poly:
     """The fixed-linear-system variant: curves through g-2 general points in
     one linear equivalence class.  This is the fundamental-class coefficient
     of the grade-0 part of the r-nodal class; lower h powers push to zero."""
-    parts = _graded_parts(nodal_locus_class(r), r)
-    return _substitute_d(parts.get("one", Poly.zero(("d",))), r)
+    return _pushed_count(r, {(0, 0): 1})
 
 
 def divisor_sum(k: int) -> int:
@@ -317,29 +215,9 @@ def bryan_leung_log_coefficients(count: int = 8) -> list[int]:
     for rr in range(1, count + 1):
         value = log[rr] * factorial(rr)
         if value.denominator != 1:
-            raise AssertionError(f"log coefficient b_{rr} is not an integer: {value}")
+            raise ExactnessError(f"log coefficient b_{rr} is not an integer: {value}")
         out.append(value.numerator)
     return out
-
-
-@dataclass(frozen=True)
-class AbelianSetup:
-    """Inputs of one count: target genus, node count, and the multiple of
-    the primitive class; the self-intersection d follows by adjunction."""
-
-    g: int
-    r: int
-    m: int = 1
-    d: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.g < 2:
-            raise ValueError(f"genus must be at least 2: {self.g}")
-        if not 0 <= self.r <= 8:
-            raise ValueError(f"node count must be in 0..8: {self.r}")
-        if self.m < 1:
-            raise ValueError(f"class multiple must be positive: {self.m}")
-        object.__setattr__(self, "d", 2 * self.g + 2 * self.r - 2)
 
 
 def abelian_validity(m: int, g: int, r: int) -> bool:

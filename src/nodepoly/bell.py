@@ -15,7 +15,7 @@ differentiating the identity in t:
 
 Evaluation substitutes ring elements for the a_j, so the same polynomials
 drive exact counts over plain rationals, polynomials in one parameter, and
-the graded class algebras of the geometric back ends.
+the truncated class algebra (``truncated.Truncated``) of the back ends.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ def bell_polynomial(n: int) -> Poly:
 def bell_value(n: int, values: Sequence[Any], one: Any = Fraction(1)) -> Any:
     """P_n evaluated at the first n entries of ``values``.
 
-    The entries live in any commutative ring with +, * and integer powers;
-    ``one`` is that ring's identity (used when n = 0).
+    The entries live in any commutative ring with + and *; ``one`` is that
+    ring's identity (used when n = 0).
     """
     if len(values) < n:
         raise ValueError(f"need {n} values, got {len(values)}")

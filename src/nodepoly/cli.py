@@ -9,9 +9,10 @@ aligned text, JSON lines, or CSV.  Output is deterministic byte for byte.
 
 Evaluations outside a proven validity range still succeed; the record just
 carries an explicit annotation saying so.  Exit codes: 0 on success, 2 on
-usage errors (including an unreadable or invalid diagram file), 1 when an
-internal exactness assertion fails, and 141 (128 + SIGPIPE, as for a process
-killed by a broken pipe) when the reader closes standard output early.
+usage errors (conflicting modes, values outside a function's domain, an
+unreadable or invalid diagram file), 1 when an internal exactness check
+fails, and 141 (128 + SIGPIPE, as for a process killed by a broken pipe)
+when the reader closes standard output early.
 """
 
 from __future__ import annotations
@@ -27,14 +28,11 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import abelian, enriques, grassmann, surface
+from .exactpoly import ExactnessError
 from .nodegen import node_polynomials
 
 FORMATS = ("text", "json", "csv")
 EXIT_BROKEN_PIPE = 141
-
-
-class InputError(Exception):
-    """Bad input the argument parser cannot see, such as a malformed diagram file."""
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,7 @@ def emit(records: Iterable[OutputRecord], fmt: str, out: io.TextIOBase) -> None:
 def _int_result(value: Fraction | int) -> int:
     value = Fraction(value)
     if value.denominator != 1:
-        raise AssertionError(f"expected an integer count, got {value}")
+        raise ExactnessError(f"expected an integer count, got {value}")
     return value.numerator
 
 
@@ -208,7 +206,7 @@ def _read_diagram(path: str) -> enriques.EnriquesDiagram:
                 text = fh.read()
         return enriques.from_text(text)
     except (OSError, ValueError) as exc:
-        raise InputError(f"diagram {path}: {exc}") from exc
+        raise ValueError(f"diagram {path}: {exc}") from exc
 
 
 def _cmd_enriques(args: argparse.Namespace) -> Iterable[OutputRecord]:
@@ -228,7 +226,7 @@ def _cmd_enriques(args: argparse.Namespace) -> Iterable[OutputRecord]:
     try:
         result, ref = _diagram_result(args.action, diagram)
     except ValueError as exc:  # not a valid (single-root) diagram
-        raise InputError(f"diagram {args.file}: {exc}") from exc
+        raise ValueError(f"diagram {args.file}: {exc}") from exc
     return [OutputRecord("enriques", {"file": args.file}, result, None, ref)]
 
 
@@ -354,11 +352,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, mode: str, *others: str
+) -> None:
+    """A usage error if any of ``others`` (argument names) is given with ``mode``."""
+    for other in others:
+        value = getattr(args, other)
+        if value is not None and value is not False:
+            parser.error(f"--{mode} cannot be combined with --{other}".replace("_", "-"))
+
+
 def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     sc = args.subcommand
     if sc == "plane":
         if args.table:
+            _refuse(parser, args, "table", "symbolic", "r", "m")
             return
+        if args.symbolic:
+            _refuse(parser, args, "symbolic", "m")
         if args.r is None:
             parser.error("plane needs --r (or --table)")
         if not 0 <= args.r <= 8:
@@ -369,11 +380,16 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
         chosen = sum(bool(x) for x in (args.symbolic, args.lines3, args.irreducible))
         if chosen > 1:
             parser.error("choose one of --symbolic, --lines3, --irreducible")
+        if args.m is not None:
+            _refuse(parser, args, "m", "symbolic", "lines3", "irreducible")
         if chosen == 0 and args.m is None:
             parser.error("p4 needs --m or one of --symbolic, --lines3, --irreducible")
     elif sc == "abelian":
         if args.table:
+            _refuse(parser, args, "table", "r", "g", "fixed_class", "oracle")
             return
+        if args.fixed_class:
+            _refuse(parser, args, "fixed_class", "oracle", "g")
         if args.r is None:
             parser.error("abelian needs --r (or --table)")
         if not 0 <= args.r <= 8:
@@ -423,10 +439,10 @@ def run(argv: Sequence[str]) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except InputError as exc:
+    except ValueError as exc:  # a bad diagram file or a value outside the domain
         print(f"nodecount: error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, ValueError, OSError) as exc:
+    except (AssertionError, OSError) as exc:
         print(f"nodecount: error: {exc}", file=sys.stderr)
         return 1
     return 0

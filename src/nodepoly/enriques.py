@@ -40,6 +40,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
+from .exactpoly import ExactnessError
+
 
 @dataclass(frozen=True)
 class Vertex:
@@ -172,9 +174,12 @@ class DiagramInvariants:
     jacobian_mult: int | None
 
     def __post_init__(self) -> None:
-        assert self.dim == self.roots + self.free_vertices
-        assert self.cod == self.deg - self.dim
-        assert self.milnor == 2 * self.delta - self.branches + self.roots
+        if (
+            self.dim != self.roots + self.free_vertices
+            or self.cod != self.deg - self.dim
+            or self.milnor != 2 * self.delta - self.branches + self.roots
+        ):
+            raise ExactnessError(f"invariants break their defining identities: {self}")
 
 
 def invariants(diagram: EnriquesDiagram) -> DiagramInvariants:
@@ -233,7 +238,8 @@ def inequality_report(diagram: EnriquesDiagram) -> tuple[InequalityResult, ...]:
     m_root = diagram.vertices[roots[0]].weight
     sat_weight = sum(v.weight for v in diagram.vertices if v.remote is not None)
     e = inv.jacobian_mult
-    assert e is not None
+    if e is None:
+        raise ExactnessError("a single-root diagram has no Jacobian multiplicity")
 
     def ineq(part: str, lhs: int, rhs: int) -> InequalityResult:
         return InequalityResult(part, lhs <= rhs, lhs == rhs)

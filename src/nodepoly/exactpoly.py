@@ -24,15 +24,17 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, Sequence
 
-#: The exact rational coefficient type.  ``fractions.Fraction`` already
-#: maintains the invariants this package needs: gcd-reduced, positive
-#: denominator, zero as 0/1, arbitrary precision.
-ExactRational = Fraction
-
 Scalar = int | Fraction
 
 #: Exponent tuple, one entry per context variable.
 Exponents = tuple[int, ...]
+
+
+class ExactnessError(AssertionError):
+    """An exact result broke an identity it must satisfy: a bug, not bad input.
+
+    Raised by explicit checks, so it fires under ``python -O`` too.
+    """
 
 
 class Homogeneity(enum.Enum):
@@ -125,9 +127,6 @@ class Poly:
         """Largest exponent of ``var``; 0 for the zero polynomial."""
         i = self._index(var)
         return max((exps[i] for exps in self._terms), default=0)
-
-    def total_degree(self) -> int:
-        return max((sum(exps) for exps in self._terms), default=0)
 
     def _index(self, var: str) -> int:
         try:
@@ -269,23 +268,7 @@ class Poly:
             elif isinstance(img, (int, Fraction)):
                 img = Poly.constant(img)
             images[v] = img
-        # cache powers of each image; exponents are small in practice
-        powers: dict[tuple[str, int], Poly] = {}
-
-        def power(v: str, e: int) -> Poly:
-            key = (v, e)
-            if key not in powers:
-                powers[key] = images[v] ** e
-            return powers[key]
-
-        total = Poly.zero()
-        for exps, coeff in self._terms.items():
-            term = Poly.constant(coeff)
-            for v, e in zip(self._variables, exps):
-                if e:
-                    term = term * power(v, e)
-            total = total + term
-        return total
+        return evaluate_in(self, images, Poly.constant(1))
 
     def divrem(self, divisor: Poly, var: str) -> tuple[Poly, Poly]:
         """Long division in ``var`` over the remaining-variable coefficient ring.
@@ -332,9 +315,7 @@ class Poly:
         weight.  The zero polynomial reports Homogeneity.ZERO, which is
         compatible with every degree.
         """
-        if not self._terms:
-            return Homogeneity.ZERO
-        degree: int | None = None
+        degree: int | Homogeneity = Homogeneity.ZERO
         for exps in self._terms:
             w = 0
             for v, e in zip(self._variables, exps):
@@ -343,11 +324,10 @@ class Poly:
                 if v not in weights:
                     raise KeyError(f"no weight given for variable {v!r}")
                 w += weights[v] * e
-            if degree is None:
+            if degree is Homogeneity.ZERO:
                 degree = w
             elif degree != w:
                 return Homogeneity.MIXED
-        assert degree is not None
         return degree
 
     def is_weighted_homogeneous(self, weights: Mapping[str, int], degree: int) -> bool:
@@ -356,17 +336,8 @@ class Poly:
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a point; every occurring variable must be assigned."""
-        total = Fraction(0)
-        for exps, coeff in self._terms.items():
-            term = coeff
-            for v, e in zip(self._variables, exps):
-                if e == 0:
-                    continue
-                if v not in point:
-                    raise KeyError(f"variable {v!r} unassigned in evaluation point")
-                term *= _as_fraction(point[v]) ** e
-            total += term
-        return total
+        values = {v: _as_fraction(point[v]) for v in self._variables if v in point}
+        return evaluate_in(self, values, Fraction(1))
 
     # -- canonical text form -------------------------------------------------
 
@@ -502,16 +473,18 @@ def evaluate_in(poly: Poly, values: Mapping[str, Any], one: Any) -> Any:
     """Evaluate a polynomial in an arbitrary commutative ring.
 
     ``values`` must supply an element for every variable that occurs; the
-    elements need +, * (with each other and with Fraction on the left) and
-    ** with small integer exponents.  ``one`` is the ring identity; it
-    seeds constant terms, and the zero polynomial evaluates to ``0 * one``.
+    elements need + and * (with each other and with Fraction on the left).
+    ``one`` is the ring identity; it seeds constant terms, and the zero
+    polynomial evaluates to ``0 * one``.
     """
     powers: dict[tuple[str, int], Any] = {}
 
     def power(v: str, e: int) -> Any:
+        # each power is the product of two memoized halves, so the powers of
+        # one value share their squarings
         key = (v, e)
         if key not in powers:
-            powers[key] = values[v] ** e
+            powers[key] = values[v] if e == 1 else power(v, e // 2) * power(v, e - e // 2)
         return powers[key]
 
     total: Any = None

@@ -34,17 +34,26 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from typing import Any
 
 from .bell import bell_value
-from .exactpoly import Poly, Scalar, evaluate_in
+from .exactpoly import ExactnessError, Poly, Scalar, evaluate_in, parse
 from .nodegen import node_polynomials
+from .truncated import Truncated
 
-#: Fiber classes live in this context; m is the threefold degree parameter.
-_FIBER_CONTEXT = ("m", "f", "q1", "q2")
+#: The fiber grading: f^j = 0 for j > 4 on the tautological plane bundle.
+_FIBER = {"f": 1}
+_FIBER_CAP = 4
+
+#: Integration over the plane fibers, keyed by the exponent of f.
+_FIBER_INTEGRALS = {
+    (2,): Poly.constant(1),
+    (3,): Poly.variable("q1"),
+    (4,): parse("q1^2 - q2", ("q1", "q2")),
+}
 
 #: Degree-6 integrals on the Grassmannian of 2-planes in P^4 (q1 has degree
 #: 1 and q2 degree 2); exponents keyed as (e_q1, e_q2).
+_BASE = {"q1": 1, "q2": 2}
 DEGREE6_INTEGRALS = {(6, 0): 5, (4, 1): 3, (2, 2): 2, (0, 3): 1}
 
 #: Classical counts on a general quintic threefold, used as imported
@@ -53,96 +62,16 @@ SMOOTH_CONICS_ON_QUINTIC = 609250
 LINES_ON_QUINTIC = 2875
 
 
-def _truncate_f(poly: Poly) -> Poly:
-    if "f" not in poly.variables:
-        return poly
-    i = poly.variables.index("f")
-    kept = {exps: c for exps, c in poly.terms.items() if exps[i] <= 4}
-    return Poly(poly.variables, kept)
+def _fiber(value: Poly | Scalar) -> Truncated:
+    return Truncated(value, _FIBER, _FIBER_CAP)
 
 
-class FiberClass:
-    """A class on the tautological plane bundle: a polynomial in f, q1, q2.
-
-    The fiber relation f^j = 0 for j > 4 is applied eagerly after every
-    construction and product, so intermediate degrees stay bounded.
-    """
-
-    __slots__ = ("poly",)
-
-    def __init__(self, poly: Poly | Scalar):
-        if not isinstance(poly, Poly):
-            poly = Poly.constant(poly, _FIBER_CONTEXT)
-        self.poly = _truncate_f(poly.in_context(_FIBER_CONTEXT))
-
-    @classmethod
-    def one(cls) -> FiberClass:
-        return cls(1)
-
-    def __add__(self, other: Any) -> FiberClass:
-        other = other.poly if isinstance(other, FiberClass) else other
-        return FiberClass(self.poly + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Any) -> FiberClass:
-        other = other.poly if isinstance(other, FiberClass) else other
-        return FiberClass(self.poly - other)
-
-    def __neg__(self) -> FiberClass:
-        return FiberClass(-self.poly)
-
-    def __mul__(self, other: Any) -> FiberClass:
-        other = other.poly if isinstance(other, FiberClass) else other
-        return FiberClass(self.poly * other)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> FiberClass:
-        result = FiberClass.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def __eq__(self, other: Any) -> bool:
-        return isinstance(other, FiberClass) and self.poly == other.poly
-
-    def __repr__(self) -> str:
-        return f"FiberClass({self.poly})"
-
-
-def fiber_pushforward(c: FiberClass | Poly) -> Poly:
-    """Integrate a bundle class over the plane fibers.
-
-    Linear over the base: f^0 and f^1 die, f^2 -> 1, f^3 -> q1 and
-    f^4 -> q1^2 - q2.  The result is a free polynomial in q1, q2 with
-    coefficients polynomial in m.
-    """
-    poly = c.poly if isinstance(c, FiberClass) else _truncate_f(poly_in_fiber(c))
-    q1 = Poly.variable("q1")
-    q2 = Poly.variable("q2")
-    images = {2: Poly.constant(1), 3: q1, 4: q1 * q1 - q2}
-    total = Poly.zero(("q1", "q2", "m"))
-    for j, image in images.items():
-        total = total + poly.coefficient_of("f", j) * image
-    return total.in_context(("q1", "q2", "m"))
-
-
-def poly_in_fiber(poly: Poly) -> Poly:
-    return poly.in_context(_FIBER_CONTEXT)
-
-
-def _tautological_classes(v: FiberClass) -> dict[str, FiberClass]:
-    f = FiberClass(Poly.variable("f"))
-    q1 = FiberClass(Poly.variable("q1"))
-    q2 = FiberClass(Poly.variable("q2"))
-    return {"v": v, "w1": q1 - 3 * f, "w2": q2 - 2 * f * q1 + 3 * f * f}
-
-
-def _aq_for(v: FiberClass, q: int) -> Poly:
-    values = _tautological_classes(v)
-    pushed = evaluate_in(node_polynomials().b(q), values, FiberClass.one())
-    return fiber_pushforward(pushed)
+def _aq_for(v: Poly, q: int) -> Poly:
+    """Push b_q at v and the tautological w1, w2 down to the Grassmannian."""
+    f, q1, q2 = (_fiber(Poly.variable(name)) for name in ("f", "q1", "q2"))
+    values = {"v": _fiber(v), "w1": q1 - 3 * f, "w2": q2 - 2 * f * q1 + 3 * f * f}
+    pushed = evaluate_in(node_polynomials().b(q), values, _fiber(1))
+    return pushed.integrate(_FIBER_INTEGRALS).in_context(("q1", "q2", "m"))
 
 
 @lru_cache(maxsize=None)
@@ -154,9 +83,7 @@ def grass_aq(q: int) -> Poly:
     """
     if not 1 <= q <= 8:
         raise ValueError(f"q must be in 1..8: {q}")
-    m = FiberClass(Poly.variable("m"))
-    f = FiberClass(Poly.variable("f"))
-    return _aq_for(m * f, q)
+    return _aq_for(Poly.variable("m") * Poly.variable("f"), q)
 
 
 def grass_integrate(cls: Poly) -> Poly:
@@ -167,15 +94,12 @@ def grass_integrate(cls: Poly) -> Poly:
     m; the result is a polynomial in m (possibly constant).
     """
     cls = cls.in_context(("q1", "q2", "m"))
-    total = Poly.zero(("m",))
-    mvar = Poly.variable("m")
-    for (e1, e2, em), coeff in cls.terms.items():
+    for e1, e2, _ in cls.terms:
         if e1 + 2 * e2 != 6:
             raise ValueError(
                 f"not a degree-6 class: monomial q1^{e1}*q2^{e2} has degree {e1 + 2 * e2}"
             )
-        total = total + coeff * DEGREE6_INTEGRALS[(e1, e2)] * mvar**em
-    return total
+    return Truncated(cls, _BASE, 6).integrate(DEGREE6_INTEGRALS)
 
 
 @lru_cache(maxsize=None)
@@ -193,7 +117,7 @@ def threefold_6nodal(m: int) -> int:
     """Value of the 6-nodal count at integer degree m."""
     value = threefold_6nodal_symbolic().evaluate({"m": m})
     if value.denominator != 1:
-        raise AssertionError(f"6-nodal count at m={m} is not an integer: {value}")
+        raise ExactnessError(f"6-nodal count at m={m} is not an integer: {value}")
     return value.numerator
 
 
@@ -217,9 +141,7 @@ def line_restricted_multiplier() -> int:
     ambient Grassmannian against the Schubert class (q1^2 - q2)^2, and the
     two-node formula contributes with a factor 1/2.
     """
-    f = FiberClass(Poly.variable("f"))
-    q1 = FiberClass(Poly.variable("q1"))
-    v_line = 4 * f + q1
+    v_line = 4 * Poly.variable("f") + Poly.variable("q1")
     a1 = _aq_for(v_line, 1)
     a2 = _aq_for(v_line, 2)
     q1p = Poly.variable("q1")
@@ -227,7 +149,7 @@ def line_restricted_multiplier() -> int:
     schubert = (q1p * q1p - q2p) ** 2
     value = grass_integrate(schubert * (a1 * a1 + a2)).constant_value() / 2
     if value.denominator != 1:
-        raise AssertionError(f"line multiplier is not an integer: {value}")
+        raise ExactnessError(f"line multiplier is not an integer: {value}")
     return value.numerator
 
 

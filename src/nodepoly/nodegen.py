@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import factorial
 
 from .bell import bell_value
-from .exactpoly import Poly, parse
+from .exactpoly import ExactnessError, Poly, parse
 
 #: Variable context of every node polynomial.
 CLASS_VARIABLES = ("v", "w1", "w2")
@@ -124,10 +124,10 @@ def node_polynomials() -> NodePolynomialSet:
     )
 
     for q, bq in enumerate(b, start=1):
-        assert bq.is_weighted_homogeneous(CLASS_WEIGHTS, q + 2), (
-            f"b_{q} is not weighted homogeneous of degree {q + 2}; generator bug"
-        )
-        assert all(c.denominator == 1 for c in bq.terms.values()), (
-            f"b_{q} has a non-integer coefficient; generator bug"
-        )
+        if not bq.is_weighted_homogeneous(CLASS_WEIGHTS, q + 2):
+            raise ExactnessError(
+                f"b_{q} is not weighted homogeneous of degree {q + 2}; generator bug"
+            )
+        if any(c.denominator != 1 for c in bq.terms.values()):
+            raise ExactnessError(f"b_{q} has a non-integer coefficient; generator bug")
     return NodePolynomialSet(polys=tuple(b), x2=X2, x3=X3, x4=X4)

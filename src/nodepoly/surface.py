@@ -24,16 +24,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 
 from .bell import bell_value
-from .exactpoly import Poly, Scalar
+from .exactpoly import ExactnessError, Poly, Scalar, evaluate_in, parse
 from .nodegen import node_polynomials
+from .truncated import Truncated
 
-#: Integrals of the surface-degree-2 monomials c^i K^b X^c, keyed by (b, c)
-#: with i = 2 - b - 2c.  Values name the ChernNumbers field that supplies
-#: the integral.
-_DEGREE2_FIELDS = {(0, 0): "d", (1, 0): "k", (2, 0): "s", (0, 1): "x"}
+#: The surface grading: c and K have degree 1, the point class X degree 2,
+#: and everything above surface degree 2 vanishes.
+_SURFACE = {"c": 1, "K": 1, "X": 2}
+_SURFACE_CAP = 2
+
+#: Integrals of the surface-degree-2 monomials, keyed by the exponents of
+#: (c, K, X), as the symbolic Chern numbers d, k, s, x.
+_SURFACE_INTEGRALS = {
+    (2, 0, 0): Poly.variable("d"),
+    (1, 1, 0): Poly.variable("k"),
+    (0, 2, 0): Poly.variable("s"),
+    (0, 0, 1): Poly.variable("x"),
+}
 
 
 def _as_poly(value: Poly | Scalar, parameter: str) -> Poly:
@@ -75,49 +85,30 @@ class ChernNumbers:
         m = Poly.variable(parameter)
         return cls.of(m * m, -3 * m, 9, 3, parameter)
 
-    def field(self, name: str) -> Poly:
-        return {"d": self.d, "k": self.k, "s": self.s, "x": self.x}[name]
 
+@lru_cache(maxsize=None)
+def _universal_aq(q: int) -> Poly:
+    """a_q as a linear form in the symbolic Chern numbers d, k, s, x.
 
-def pushforward_monomial(a: int, b: int, c: int, cn: ChernNumbers) -> Poly:
-    """Pushforward of v^a * w1^b * w2^c down to Y, as a polynomial in h.
-
-    Expand v = c + h; only the surface-degree-2 part survives integration
-    over the fiber, contributing C(a, i) * (integral) * h^(a-i) with
-    i = 2 - b - 2c.  Monomials whose w part already exceeds surface degree 2
-    push to zero.
+    b_q is evaluated at v = c + h, w1 = K, w2 = X modulo surface degree 3
+    and integrated over the surface; every surviving monomial lands in h^q.
     """
-    key = (b, c)
-    if key not in _DEGREE2_FIELDS:
-        return Poly.zero((cn.parameter, "h"))
-    i = 2 - b - 2 * c
-    if i < 0 or i > a:
-        return Poly.zero((cn.parameter, "h"))
-    h = Poly.variable("h")
-    integral = cn.field(_DEGREE2_FIELDS[key])
-    return (comb(a, i) * integral * h ** (a - i)).in_context((cn.parameter, "h"))
+    images = {"v": "c + h", "w1": "K", "w2": "X"}
+    values = {w: Truncated(parse(t), _SURFACE, _SURFACE_CAP) for w, t in images.items()}
+    pushed = evaluate_in(node_polynomials().b(q), values, Truncated(1, _SURFACE, _SURFACE_CAP))
+    total = pushed.integrate(_SURFACE_INTEGRALS)
+    form = total.coefficient_of("h", q)
+    if total != form * Poly.variable("h") ** q:
+        raise ExactnessError(f"pushforward of b_{q} is not concentrated in h^{q}")
+    return form
 
 
 def surface_aq(q: int, cn: ChernNumbers) -> Poly:
     """The h^q coefficient of the pushforward of b_q; linear in (d, k, s, x)."""
     if not 1 <= q <= 8:
         raise ValueError(f"q must be in 1..8: {q}")
-    bq = node_polynomials().b(q)
-    total = Poly.zero((cn.parameter, "h"))
-    for exps, coeff in bq.terms.items():
-        a, b, c = exps
-        total = total + coeff * pushforward_monomial(a, b, c, cn)
-    # every surviving monomial of b_q lands in h^q exactly
-    scalar = total.coefficient_of("h", q)
-    assert total == scalar.in_context((cn.parameter, "h")) * Poly.variable("h") ** q, (
-        f"pushforward of b_{q} is not concentrated in h^{q}"
-    )
-    return scalar
-
-
-@lru_cache(maxsize=None)
-def _plane_aq_cached(q: int, parameter: str) -> Poly:
-    return surface_aq(q, ChernNumbers.plane(parameter))
+    point = {"d": cn.d, "k": cn.k, "s": cn.s, "x": cn.x}
+    return _universal_aq(q).substitute(point).in_context((cn.parameter,))
 
 
 def severi_degree(r: int, cn: ChernNumbers | None = None) -> Poly:
@@ -131,10 +122,7 @@ def severi_degree(r: int, cn: ChernNumbers | None = None) -> Poly:
         raise ValueError(f"r must be in 0..8: {r}")
     if cn is None:
         cn = ChernNumbers.plane()
-    if cn == ChernNumbers.plane(cn.parameter):
-        aq = [_plane_aq_cached(q, cn.parameter) for q in range(1, r + 1)]
-    else:
-        aq = [surface_aq(q, cn) for q in range(1, r + 1)]
+    aq = [surface_aq(q, cn) for q in range(1, r + 1)]
     one = Poly.constant(1, (cn.parameter,))
     return bell_value(r, aq, one) / factorial(r)
 

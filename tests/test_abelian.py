@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from nodepoly.abelian import (
-    AbelianSetup,
-    YClass,
+    _BASE,
+    _BASE_CAP,
     abelian_aq,
     abelian_count,
     bryan_leung_count,
@@ -21,61 +21,56 @@ from nodepoly.abelian import (
     abelian_validity,
 )
 from nodepoly.exactpoly import Poly, parse
+from nodepoly.truncated import Truncated
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def base(text: str) -> Truncated:
+    """A class over the dual surface, reduced above base grade 2."""
+    return Truncated(parse(text), _BASE, _BASE_CAP)
+
+
 class TestYClassAlgebra:
     def test_c1_squares_to_c1sq(self):
-        c1 = YClass({"C1": 1})
-        assert c1 * c1 == YClass({"C1SQ": 1})
+        c1 = base("C1")
+        assert c1 * c1 == parse("C1^2")
+        assert not (c1 * c1).poly.is_zero()
 
     def test_grade_truncation(self):
-        c1 = YClass({"C1": 1})
-        c2 = YClass({"C2": 1})
-        assert c1 * c1 * c1 == YClass.zero()
-        assert c1 * c2 == YClass.zero()
-        assert c2 * c2 == YClass.zero()
+        c1 = base("C1")
+        c2 = base("C2")
+        assert (c1 * c1 * c1).poly.is_zero()
+        assert (c1 * c2).poly.is_zero()
+        assert (c2 * c2).poly.is_zero()
 
     def test_one_is_identity(self):
-        x = YClass({"one": parse("d*h", ("d", "h")), "C1": 3})
-        assert YClass.one() * x == x
+        x = base("d*h + 3*C1")
+        assert base("1") * x == x
 
 
 class TestAq:
     def test_a1(self):
-        expected = YClass({"one": parse("3*d*h", ("d", "h")), "C1": 6})
-        assert abelian_aq(1) == expected
+        assert abelian_aq(1) == parse("3*d*h + 6*C1")
 
     def test_a2(self):
         # kappa_2 = -7 against the binomial/pushforward profile of v^4
-        expected = YClass(
-            {
-                "one": parse("-42*d*h^2", ("d", "h")),
-                "C1": parse("-168*h", ("d", "h")),
-                "C1SQ": -84,
-                "C2": 168,
-            }
-        )
-        assert abelian_aq(2) == expected
+        assert abelian_aq(2) == parse("-42*d*h^2 - 168*C1*h - 84*C1^2 + 168*C2")
 
     @pytest.mark.parametrize("q", range(1, 9))
     def test_polynomial_in_d(self, q):
         # the route never divides by d
-        for poly in abelian_aq(q).components.values():
-            for coeff in poly.terms.values():
-                assert coeff.denominator == 1
+        for coeff in abelian_aq(q).terms.values():
+            assert coeff.denominator == 1
 
     @pytest.mark.parametrize("r", range(9))
     def test_grade_bookkeeping(self, r):
         # the r-nodal class decomposes as beta0 h^r + beta1 h^(r-1) + beta2 h^(r-2)
-        cls = nodal_locus_class(r)
-        grades = {"one": 0, "C1": 1, "C1SQ": 2, "C2": 2}
-        for key, poly in cls.components.items():
-            j = grades[key]
-            assert r - j >= 0
-            for exps, _c in poly.terms.items():
-                assert exps[1] == r - j  # h exponent
+        cls = nodal_locus_class(r).in_context(("C1", "C2", "h", "d"))
+        for e1, e2, eh, _ in cls.terms:
+            j = e1 + 2 * e2  # base grade
+            assert j <= 2
+            assert eh == r - j
 
 
 class TestTable:
@@ -177,18 +172,6 @@ class TestBryanLeungOracle:
 
 
 class TestSetupAndValidity:
-    def test_setup_adjunction(self):
-        setup = AbelianSetup(g=5, r=2)
-        assert setup.d == 2 * 5 + 2 * 2 - 2
-
-    def test_setup_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            AbelianSetup(g=1, r=0)
-        with pytest.raises(ValueError):
-            AbelianSetup(g=3, r=9)
-        with pytest.raises(ValueError):
-            AbelianSetup(g=3, r=1, m=0)
-
     @pytest.mark.parametrize(
         "m,g,r,expected",
         [

@@ -263,5 +263,44 @@ class TestErrors:
         assert run(argv) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plane", "--table", "--symbolic"],
+            ["plane", "--table", "--r", "3"],
+            ["plane", "--table", "--m", "4"],
+            ["plane", "--table", "--symbolic", "--r", "3", "--m", "4"],
+            ["plane", "--symbolic", "--r", "3", "--m", "4"],
+            ["abelian", "--table", "--r", "0"],
+            ["abelian", "--table", "--g", "3"],
+            ["abelian", "--table", "--fixed-class"],
+            ["abelian", "--table", "--oracle"],
+            ["abelian", "--fixed-class", "--oracle", "--g", "3", "--r", "1"],
+            ["abelian", "--fixed-class", "--r", "1", "--g", "3"],
+            ["p4", "--m", "5", "--symbolic"],
+            ["p4", "--m", "5", "--lines3"],
+            ["p4", "--m", "0", "--irreducible"],
+        ],
+    )
+    def test_conflicting_modes(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot be combined" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["validity", "kva", "--surface", "k3", "--m", "1", "--d", "8", "--k", "-1"],
+             "k must be non-negative: -1"),
+            (["abelian", "--oracle", "--g", "0", "--r", "1"], "g must be at least 1: 0"),
+        ],
+    )
+    def test_out_of_domain_library_input(self, capsys, argv, message):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"nodecount: error: {message}\n"
+
     def test_no_args(self, capsys):
         assert run([]) == 2

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodepoly.exactpoly import Homogeneity, Poly, parse
+import nodepoly
+from nodepoly.exactpoly import ExactnessError, Homogeneity, Poly, parse
 
 V = Poly.variable
 C = Poly.constant
@@ -175,6 +180,31 @@ class TestWeightedDegree:
         assert z.weighted_degree(self.WEIGHTS) is Homogeneity.ZERO
         assert z.is_weighted_homogeneous(self.WEIGHTS, 5)
         assert z.is_weighted_homogeneous(self.WEIGHTS, 0)
+
+
+class TestExactnessError:
+    #: Builds invariants that break dim = roots + free vertices, under -O.
+    BROKEN = (
+        "import sys\n"
+        "if not sys.flags.optimize: sys.exit('not run with -O')\n"
+        "from nodepoly.enriques import DiagramInvariants\n"
+        "DiagramInvariants(roots=1, free_vertices=0, dim=5, deg=1, cod=-4, delta=0,\n"
+        "                  branches=1, milnor=0, jacobian_mult=0)\n"
+    )
+
+    def test_is_an_assertion_error(self):
+        assert issubclass(ExactnessError, AssertionError)
+
+    def test_check_survives_optimize(self):
+        src = str(Path(nodepoly.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", self.BROKEN],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "nodepoly.exactpoly.ExactnessError: invariants break" in proc.stderr
 
 
 class TestEvaluate:

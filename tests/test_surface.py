@@ -8,15 +8,19 @@ from pathlib import Path
 
 import pytest
 
-from nodepoly.exactpoly import Poly, parse
+from nodepoly.exactpoly import Poly, evaluate_in, parse
+from nodepoly.nodegen import CLASS_VARIABLES
 from nodepoly.surface import (
+    _SURFACE,
+    _SURFACE_CAP,
+    _SURFACE_INTEGRALS,
     ChernNumbers,
     plane_count,
     plane_validity,
-    pushforward_monomial,
     severi_degree,
     surface_aq,
 )
+from nodepoly.truncated import Truncated
 
 GOLDEN = Path(__file__).parent / "golden"
 PLANE = ChernNumbers.plane()
@@ -24,6 +28,18 @@ PLANE = ChernNumbers.plane()
 
 def golden_lines(name: str) -> list[str]:
     return (GOLDEN / name).read_text().splitlines()
+
+
+def pushforward_monomial(a: int, b: int, c: int, cn: ChernNumbers) -> Poly:
+    """v^a * w1^b * w2^c at v = c + h, w1 = K, w2 = X, pushed down to Y
+    through the surface table and evaluated at the Chern numbers ``cn``."""
+    images = {"v": "c + h", "w1": "K", "w2": "X"}
+    values = {w: Truncated(parse(t), _SURFACE, _SURFACE_CAP) for w, t in images.items()}
+    monomial = Poly(CLASS_VARIABLES, {(a, b, c): 1})
+    pushed = evaluate_in(monomial, values, Truncated(1, _SURFACE, _SURFACE_CAP))
+    return pushed.integrate(_SURFACE_INTEGRALS).substitute(
+        {"d": cn.d, "k": cn.k, "s": cn.s, "x": cn.x}
+    )
 
 
 class TestPushforwardMonomial:
