@@ -37,6 +37,7 @@ from .grassmann import (
     threefold_3nodal_lines,
     threefold_6nodal,
     threefold_6nodal_symbolic,
+    threefold_validity,
 )
 from .nodegen import NodePolynomialSet, node_polynomials, q_transform
 from .surface import (
@@ -87,5 +88,6 @@ __all__ = [
     "threefold_3nodal_lines",
     "threefold_6nodal",
     "threefold_6nodal_symbolic",
+    "threefold_validity",
     "validate",
 ]

@@ -45,7 +45,7 @@ from math import factorial
 
 from .bell import bell_value
 from .exactpoly import ExactnessError, Poly, evaluate_in, parse
-from .nodegen import node_polynomials
+from .nodegen import node_polynomial
 from .truncated import Truncated
 
 #: The fiber grading: l^j = 0 for j > 4, and integration over the first
@@ -96,17 +96,19 @@ def abelian_aq(q: int) -> Poly:
         raise ValueError(f"q must be in 1..8: {q}")
     zero = Truncated(0, _FIBER, _FIBER_CAP)
     values = {"v": Truncated(parse("l + h"), _FIBER, _FIBER_CAP), "w1": zero, "w2": zero}
-    pushed = evaluate_in(node_polynomials().b(q), values, Truncated(1, _FIBER, _FIBER_CAP))
+    pushed = evaluate_in(node_polynomial(q), values, Truncated(1, _FIBER, _FIBER_CAP))
     aq = pushed.integrate(_FIBER_INTEGRALS).in_context(_AQ_CONTEXT)
     if any(c.denominator != 1 for c in aq.terms.values()):
         raise ExactnessError(f"a_{q} picked up a rational coefficient; route bug")
     return aq
 
 
+@lru_cache(maxsize=None)
 def nodal_locus_class(r: int) -> Poly:
     """The class of the r-nodal locus on Y: P_r(a_1,...,a_r)/r!.
 
     A polynomial in (C1, C2, h, d) of total grade r, with base grade at most 2.
+    Cached per r (nine entries at most).
     """
     if not 0 <= r <= 8:
         raise ValueError(f"r must be in 0..8: {r}")
@@ -228,6 +230,8 @@ def abelian_validity(m: int, g: int, r: int) -> bool:
     """
     if m < 1:
         raise ValueError(f"class multiple must be positive: {m}")
+    if r < 0:
+        raise ValueError(f"r must be non-negative: {r}")
     if m == 1:
         return g > 5 * r + 7
     threshold = Fraction(3 * m * m * r + 3 * m * m - 2 * m * r + 2 * m + 2 * r - 2, 2 * m - 2)

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from . import abelian, enriques, grassmann, surface
 from .exactpoly import ExactnessError
-from .nodegen import node_polynomials
+from .nodegen import node_polynomial
 
 FORMATS = ("text", "json", "csv")
 EXIT_BROKEN_PIPE = 141
@@ -97,11 +97,15 @@ def _plane_annotation(r: int, m: int) -> str:
     )
 
 
+def _p4_annotation(m: int) -> str:
+    return "in range (m >= 4)" if grassmann.threefold_validity(m) else "outside range (m >= 4)"
+
+
 def _cmd_bq(args: argparse.Namespace) -> list[OutputRecord]:
-    ns = node_polynomials()
-    qs = [args.q] if args.q is not None else list(range(1, 9))
+    qs = [args.q] if args.q is not None else range(1, 9)
     return [
-        OutputRecord("bq", {"q": q}, str(ns.b(q)), None, "node-polynomial") for q in qs
+        OutputRecord("bq", {"q": q}, str(node_polynomial(q)), None, "node-polynomial")
+        for q in qs
     ]
 
 
@@ -148,14 +152,13 @@ def _cmd_p4(args: argparse.Namespace) -> list[OutputRecord]:
     if args.irreducible:
         return [
             OutputRecord(
-                "p4", {"m": 5}, grassmann.quintic_irreducible(), "in range (m >= 4)",
+                "p4", {"m": 5}, grassmann.quintic_irreducible(), _p4_annotation(5),
                 "p4-quintic-irreducible",
             )
         ]
-    annotation = "in range (m >= 4)" if args.m >= 4 else "outside range (m >= 4)"
     return [
         OutputRecord(
-            "p4", {"m": args.m}, grassmann.threefold_6nodal(args.m), annotation,
+            "p4", {"m": args.m}, grassmann.threefold_6nodal(args.m), _p4_annotation(args.m),
             "p4-6nodal-count",
         )
     ]
@@ -186,6 +189,8 @@ def _cmd_abelian(args: argparse.Namespace) -> list[OutputRecord]:
                 "abelian-oracle",
             )
         ]
+    if args.g is not None and args.g < 1:
+        raise ValueError(f"g must be at least 1: {args.g}")
     poly = abelian.abelian_count(args.r)
     if args.g is None:
         return [OutputRecord("abelian", {"r": args.r}, str(poly), None, "abelian-count")]

@@ -37,7 +37,7 @@ from math import factorial
 
 from .bell import bell_value
 from .exactpoly import ExactnessError, Poly, Scalar, evaluate_in, parse
-from .nodegen import node_polynomials
+from .nodegen import node_polynomial
 from .truncated import Truncated
 
 #: The fiber grading: f^j = 0 for j > 4 on the tautological plane bundle.
@@ -70,7 +70,7 @@ def _aq_for(v: Poly, q: int) -> Poly:
     """Push b_q at v and the tautological w1, w2 down to the Grassmannian."""
     f, q1, q2 = (_fiber(Poly.variable(name)) for name in ("f", "q1", "q2"))
     values = {"v": _fiber(v), "w1": q1 - 3 * f, "w2": q2 - 2 * f * q1 + 3 * f * f}
-    pushed = evaluate_in(node_polynomials().b(q), values, _fiber(1))
+    pushed = evaluate_in(node_polynomial(q), values, _fiber(1))
     return pushed.integrate(_FIBER_INTEGRALS).in_context(("q1", "q2", "m"))
 
 
@@ -111,6 +111,11 @@ def threefold_6nodal_symbolic() -> Poly:
     aq = [grass_aq(q) for q in range(1, 7)]
     cls = bell_value(6, aq, Poly.constant(1, ("m",))) / factorial(6)
     return grass_integrate(cls)
+
+
+def threefold_validity(m: int) -> bool:
+    """Whether the 6-nodal count is proven at threefold degree m: m >= 4."""
+    return m >= 4
 
 
 def threefold_6nodal(m: int) -> int:

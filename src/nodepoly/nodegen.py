@@ -7,18 +7,18 @@ b_q down a family of surfaces yields the ingredient a_q of the counting
 formula P_r(a_1,...,a_r)/r! for curves with r nodes; the geometric back ends
 in this package implement three such pushforwards.
 
-The generator combines a recursive transform Q(i, R) with three fixed input
-polynomials x2, x3, x4.  Q substitutes v -> v - i*e, w1 -> w1 + e,
-w2 -> w2 - e^2 for an auxiliary class e, reduces modulo e^3 + w1*e^2 + w2*e,
-and negates the e^2 coefficient.  The loop then builds
+One recursion, with a transform Q(i, R) and three fixed input polynomials
+x2, x3, x4, defines every b_q (s = q - 1):
 
-    b_{s+1} = P_s(Q(2,b_1),...,Q(2,b_s)) * x2                    for s = 0..2
-    b_{s+1} = (as above) - s(s-1)(s-2) * P_{s-3}(Q(3,b_1),...) * x3  for s = 3..6
-    b_8     = (as above at s=7) + 3281 * 7! * x4
+    b_{s+1} = P_s(Q(2,b_1),...,Q(2,b_s)) * x2
+              - s(s-1)(s-2) * P_{s-3}(Q(3,b_1),...,Q(3,b_{s-3})) * x3
+              + [s = 7] * 3281 * 7! * x4
 
-where P_s is the complete Bell polynomial.  The x4 multiplier 3281 * 7! is
-the constant fixed by the known count of 26136 eight-nodal quintic plane
-curves through 12 general points; the suite checks that consistency.
+where P_n is the complete Bell polynomial and the x3 term vanishes for
+s < 3.  The x4 multiplier is fixed by the known count of 26136 eight-nodal
+quintic plane curves through 12 general points; the suite checks that.
+``node_polynomial(q)`` builds b_q on demand from b_1..b_{q-1} and caches
+it, and each Q(i, b_j) is cached by (i, j): b_8 costs eleven transforms.
 
 x2, x3 and x4 are fixed input data, embedded verbatim below; the tests pin
 their term counts (3, 9 and 24) against transcription slips.
@@ -83,6 +83,33 @@ def q_transform(i: int, poly: Poly) -> Poly:
     return (-rem.coefficient_of("e", 2)).in_context(CLASS_VARIABLES)
 
 
+@lru_cache(maxsize=None)
+def _q_of_b(i: int, j: int) -> Poly:
+    """Q(i, b_j), computed once per pair: i = 2 for j <= 7, i = 3 for j <= 4."""
+    return q_transform(i, node_polynomial(j))
+
+
+@lru_cache(maxsize=None)
+def node_polynomial(q: int) -> Poly:
+    """b_q for q in 1..8 by the recursion above, built on first use from
+    b_1..b_{q-1} only.  All coefficients are integers."""
+    if not 1 <= q <= 8:
+        raise ValueError(f"q must be in 1..8: {q}")
+    s = q - 1
+    one = Poly.constant(1, CLASS_VARIABLES)
+    bq = bell_value(s, [_q_of_b(2, j) for j in range(1, s + 1)], one) * X2
+    if s >= 3:
+        q3 = [_q_of_b(3, j) for j in range(1, s - 2)]
+        bq = bq - s * (s - 1) * (s - 2) * bell_value(s - 3, q3, one) * X3
+    if q == 8:
+        bq = bq + X4_MULTIPLIER * X4
+    if not bq.is_weighted_homogeneous(CLASS_WEIGHTS, q + 2):
+        raise ExactnessError(f"b_{q} is not weighted homogeneous of degree {q + 2}; generator bug")
+    if any(c.denominator != 1 for c in bq.terms.values()):
+        raise ExactnessError(f"b_{q} has a non-integer coefficient; generator bug")
+    return bq
+
+
 @dataclass(frozen=True)
 class NodePolynomialSet:
     """The eight node polynomials plus the fixed inputs they were built from."""
@@ -99,35 +126,6 @@ class NodePolynomialSet:
         return self.polys[q - 1]
 
 
-@lru_cache(maxsize=None)
 def node_polynomials() -> NodePolynomialSet:
-    """Generate b_1..b_8.  Deterministic; all coefficients are integers."""
-    one = Poly.constant(1, CLASS_VARIABLES)
-    b: list[Poly] = []
-
-    def q2_values() -> list[Poly]:
-        return [q_transform(2, bq) for bq in b]
-
-    def q3_values(count: int) -> list[Poly]:
-        return [q_transform(3, b[j]) for j in range(count)]
-
-    for s in range(0, 3):
-        b.append(bell_value(s, q2_values(), one) * X2)
-    for s in range(3, 7):
-        head = bell_value(s, q2_values(), one) * X2
-        tail = s * (s - 1) * (s - 2) * bell_value(s - 3, q3_values(s - 3), one) * X3
-        b.append(head - tail)
-    b.append(
-        bell_value(7, q2_values(), one) * X2
-        - 7 * 6 * 5 * bell_value(4, q3_values(4), one) * X3
-        + X4_MULTIPLIER * X4
-    )
-
-    for q, bq in enumerate(b, start=1):
-        if not bq.is_weighted_homogeneous(CLASS_WEIGHTS, q + 2):
-            raise ExactnessError(
-                f"b_{q} is not weighted homogeneous of degree {q + 2}; generator bug"
-            )
-        if any(c.denominator != 1 for c in bq.terms.values()):
-            raise ExactnessError(f"b_{q} has a non-integer coefficient; generator bug")
-    return NodePolynomialSet(polys=tuple(b), x2=X2, x3=X3, x4=X4)
+    """All eight node polynomials, built now if they are not yet cached."""
+    return NodePolynomialSet(tuple(node_polynomial(q) for q in range(1, 9)), X2, X3, X4)

@@ -28,7 +28,7 @@ from math import factorial
 
 from .bell import bell_value
 from .exactpoly import ExactnessError, Poly, Scalar, evaluate_in, parse
-from .nodegen import node_polynomials
+from .nodegen import node_polynomial
 from .truncated import Truncated
 
 #: The surface grading: c and K have degree 1, the point class X degree 2,
@@ -46,44 +46,36 @@ _SURFACE_INTEGRALS = {
 }
 
 
-def _as_poly(value: Poly | Scalar, parameter: str) -> Poly:
+#: The Chern numbers, the a_q and N_r are polynomials in m alone.
+_CONTEXT = ("m",)
+
+
+def _as_poly(value: Poly | Scalar) -> Poly:
     if isinstance(value, Poly):
-        return value.in_context((parameter,)) if value.variables != (parameter,) else value
-    return Poly.constant(value, (parameter,))
+        return value.in_context(_CONTEXT) if value.variables != _CONTEXT else value
+    return Poly.constant(value, _CONTEXT)
 
 
 @dataclass(frozen=True)
 class ChernNumbers:
-    """The four surface invariants, as polynomials in one formal parameter."""
+    """The four surface invariants, as polynomials in the formal parameter m."""
 
     d: Poly
     k: Poly
     s: Poly
     x: Poly
-    parameter: str = "m"
 
     @classmethod
     def of(
-        cls,
-        d: Poly | Scalar,
-        k: Poly | Scalar,
-        s: Poly | Scalar,
-        x: Poly | Scalar,
-        parameter: str = "m",
+        cls, d: Poly | Scalar, k: Poly | Scalar, s: Poly | Scalar, x: Poly | Scalar
     ) -> ChernNumbers:
-        return cls(
-            d=_as_poly(d, parameter),
-            k=_as_poly(k, parameter),
-            s=_as_poly(s, parameter),
-            x=_as_poly(x, parameter),
-            parameter=parameter,
-        )
+        return cls(d=_as_poly(d), k=_as_poly(k), s=_as_poly(s), x=_as_poly(x))
 
     @classmethod
-    def plane(cls, parameter: str = "m") -> ChernNumbers:
+    def plane(cls) -> ChernNumbers:
         """Degree-m curves in the projective plane: (m^2, -3m, 9, 3)."""
-        m = Poly.variable(parameter)
-        return cls.of(m * m, -3 * m, 9, 3, parameter)
+        m = Poly.variable("m")
+        return cls.of(m * m, -3 * m, 9, 3)
 
 
 @lru_cache(maxsize=None)
@@ -95,7 +87,7 @@ def _universal_aq(q: int) -> Poly:
     """
     images = {"v": "c + h", "w1": "K", "w2": "X"}
     values = {w: Truncated(parse(t), _SURFACE, _SURFACE_CAP) for w, t in images.items()}
-    pushed = evaluate_in(node_polynomials().b(q), values, Truncated(1, _SURFACE, _SURFACE_CAP))
+    pushed = evaluate_in(node_polynomial(q), values, Truncated(1, _SURFACE, _SURFACE_CAP))
     total = pushed.integrate(_SURFACE_INTEGRALS)
     form = total.coefficient_of("h", q)
     if total != form * Poly.variable("h") ** q:
@@ -108,11 +100,11 @@ def surface_aq(q: int, cn: ChernNumbers) -> Poly:
     if not 1 <= q <= 8:
         raise ValueError(f"q must be in 1..8: {q}")
     point = {"d": cn.d, "k": cn.k, "s": cn.s, "x": cn.x}
-    return _universal_aq(q).substitute(point).in_context((cn.parameter,))
+    return _universal_aq(q).substitute(point).in_context(_CONTEXT)
 
 
 def severi_degree(r: int, cn: ChernNumbers | None = None) -> Poly:
-    """The node polynomial N_r as a polynomial in the parameter.
+    """The node polynomial N_r as a polynomial in m.
 
     N_r = P_r(a_1,...,a_r)/r!.  Defaults to the plane.  The polynomial may
     have rational coefficients (N_2 carries a 3/2), but its values at the
@@ -123,15 +115,22 @@ def severi_degree(r: int, cn: ChernNumbers | None = None) -> Poly:
     if cn is None:
         cn = ChernNumbers.plane()
     aq = [surface_aq(q, cn) for q in range(1, r + 1)]
-    one = Poly.constant(1, (cn.parameter,))
-    return bell_value(r, aq, one) / factorial(r)
+    return bell_value(r, aq, Poly.constant(1, _CONTEXT)) / factorial(r)
+
+
+@lru_cache(maxsize=None)
+def _plane_severi_degree(r: int) -> Poly:
+    """The plane N_r(m), cached per r (nine entries at most)."""
+    return severi_degree(r)
 
 
 def plane_count(r: int, m: int) -> Fraction:
     """Value of the plane node polynomial N_r at degree m (exact)."""
-    return severi_degree(r).evaluate({"m": m})
+    return _plane_severi_degree(r).evaluate({"m": m})
 
 
 def plane_validity(r: int, m: int) -> bool:
     """Whether (r, m) lies in the proven range: r <= 8 and m >= r/2 + 1."""
+    if r < 0:
+        raise ValueError(f"r must be non-negative: {r}")
     return r <= 8 and Fraction(m) >= Fraction(r, 2) + 1

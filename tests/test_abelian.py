@@ -63,6 +63,14 @@ class TestAq:
         for coeff in abelian_aq(q).terms.values():
             assert coeff.denominator == 1
 
+    def test_nodal_class_cached_per_r(self):
+        nodal_locus_class.cache_clear()
+        for r in range(9):
+            abelian_count(r)
+            fixed_class_count(r)
+        info = nodal_locus_class.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (9, 9, 9)
+
     @pytest.mark.parametrize("r", range(9))
     def test_grade_bookkeeping(self, r):
         # the r-nodal class decomposes as beta0 h^r + beta1 h^(r-1) + beta2 h^(r-2)
@@ -187,6 +195,10 @@ class TestSetupAndValidity:
     )
     def test_abelian_validity_grid(self, m, g, r, expected):
         assert abelian_validity(m, g, r) is expected
+
+    def test_negative_r_rejected(self):
+        with pytest.raises(ValueError, match="r must be non-negative: -3"):
+            abelian_validity(1, 5, -3)
 
     @pytest.mark.parametrize(
         "surface,m,d,k,expected",

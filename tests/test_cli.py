@@ -55,6 +55,13 @@ class TestCounts:
         code, out = invoke(capsys, "p4", "--m", "5", "--format", "json")
         assert json.loads(out)["result"] == 21617125
 
+    @pytest.mark.parametrize(
+        "m,valid", [(3, "outside range (m >= 4)"), (4, "in range (m >= 4)")]
+    )
+    def test_p4_annotation_boundary(self, capsys, m, valid):
+        code, out = invoke(capsys, "p4", "--m", str(m), "--format", "json")
+        assert code == 0 and json.loads(out)["valid"] == valid
+
     def test_abelian_numeric(self, capsys):
         code, out = invoke(capsys, "abelian", "--r", "2", "--g", "3", "--format", "json")
         assert json.loads(out)["result"] == 180
@@ -294,6 +301,10 @@ class TestErrors:
             (["validity", "kva", "--surface", "k3", "--m", "1", "--d", "8", "--k", "-1"],
              "k must be non-negative: -1"),
             (["abelian", "--oracle", "--g", "0", "--r", "1"], "g must be at least 1: 0"),
+            (["abelian", "--r", "2", "--g", "0"], "g must be at least 1: 0"),
+            (["validity", "plane", "--r", "-1", "--m", "5"], "r must be non-negative: -1"),
+            (["validity", "abelian", "--m", "1", "--g", "5", "--r", "-3"],
+             "r must be non-negative: -3"),
         ],
     )
     def test_out_of_domain_library_input(self, capsys, argv, message):

@@ -20,6 +20,7 @@ from nodepoly.grassmann import (
     threefold_3nodal_lines,
     threefold_6nodal,
     threefold_6nodal_symbolic,
+    threefold_validity,
 )
 from nodepoly.truncated import Truncated
 
@@ -128,6 +129,10 @@ class TestCounts:
 
     def test_line_multiplier(self):
         assert line_restricted_multiplier() == 1185
+
+    def test_validity_boundary(self):
+        assert not threefold_validity(3)
+        assert threefold_validity(4)
 
     def test_irreducible_pipeline(self):
         assert SMOOTH_CONICS_ON_QUINTIC == 609250

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nodepoly import nodegen
 from nodepoly.exactpoly import Poly, parse
 from nodepoly.nodegen import (
     CLASS_VARIABLES,
@@ -17,9 +18,43 @@ from nodepoly.nodegen import (
     X3,
     X4,
     X4_MULTIPLIER,
+    node_polynomial,
     node_polynomials,
     q_transform,
 )
+
+
+def clear_generator() -> None:
+    """Forget every cached b_q and Q(i, b_j)."""
+    nodegen.node_polynomial.cache_clear()
+    nodegen._q_of_b.cache_clear()
+
+
+@pytest.fixture
+def cold_generator():
+    clear_generator()
+    yield
+    clear_generator()
+
+
+@pytest.fixture
+def transforms(cold_generator, monkeypatch):
+    """The (i, j) of every Q(i, b_j) computed while the test runs."""
+    polys: list[tuple[int, Poly]] = []
+    real = nodegen.q_transform
+
+    def counting(i, poly):
+        polys.append((i, poly))
+        return real(i, poly)
+
+    monkeypatch.setattr(nodegen, "q_transform", counting)
+
+    def pairs() -> list[tuple[int, int]]:
+        seen = list(polys)  # naming them builds the rest, which adds calls
+        built = {q: node_polynomial(q) for q in range(1, 9)}
+        return sorted((i, next(q for q, b in built.items() if b == poly)) for i, poly in seen)
+
+    return pairs
 
 
 class TestFixedInputs:
@@ -105,17 +140,42 @@ class TestGenerator:
         for q in range(1, 9):
             assert ns.b(q).terms.get((q + 2, 0, 0)) == Fraction(kappa[q - 1])
 
-    def test_determinism(self):
-        node_polynomials.cache_clear()
+    def test_determinism(self, cold_generator):
         first = node_polynomials()
-        node_polynomials.cache_clear()
+        clear_generator()
         second = node_polynomials()
         for q in range(1, 9):
+            assert first.b(q) is not second.b(q)  # really rebuilt
             assert first.b(q) == second.b(q)
             assert str(first.b(q)) == str(second.b(q))
+
+    def test_set_holds_the_lazy_polynomials(self):
+        ns = node_polynomials()
+        assert all(ns.b(q) is node_polynomial(q) for q in range(1, 9))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             node_polynomials().b(0)
         with pytest.raises(ValueError):
             node_polynomials().b(9)
+        for q in (0, 9):
+            with pytest.raises(ValueError, match=f"q must be in 1..8: {q}"):
+                node_polynomial(q)
+
+
+class TestLazyBuild:
+    def test_b8_transforms_each_pair_once(self, transforms):
+        node_polynomial(8)
+        assert transforms() == [(2, j) for j in range(1, 8)] + [(3, j) for j in range(1, 5)]
+
+    def test_b3_builds_only_what_it_needs(self, transforms):
+        node_polynomial(3)
+        assert nodegen.node_polynomial.cache_info().currsize == 3  # b_1, b_2, b_3
+        assert transforms() == [(2, 1), (2, 2)]
+
+    def test_warm_build_transforms_nothing(self, transforms):
+        node_polynomials()
+        before = len(transforms())
+        node_polynomials()
+        node_polynomial(5)
+        assert len(transforms()) == before == 11

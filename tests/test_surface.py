@@ -15,6 +15,7 @@ from nodepoly.surface import (
     _SURFACE_CAP,
     _SURFACE_INTEGRALS,
     ChernNumbers,
+    _plane_severi_degree,
     plane_count,
     plane_validity,
     severi_degree,
@@ -144,6 +145,16 @@ class TestSeveriDegrees:
         with pytest.raises(ValueError):
             severi_degree(9)
 
+    def test_plane_polynomial_cached_per_r(self):
+        _plane_severi_degree.cache_clear()
+        for r in range(9):
+            for m in (1, 5, 9):
+                plane_count(r, m)
+        info = _plane_severi_degree.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (9, 9, 18)
+        # a caller's Chern numbers key no cache
+        assert not hasattr(severi_degree, "cache_info")
+
 
 class TestValidity:
     @pytest.mark.parametrize(
@@ -161,3 +172,7 @@ class TestValidity:
     )
     def test_grid(self, r, m, expected):
         assert plane_validity(r, m) is expected
+
+    def test_negative_r_rejected(self):
+        with pytest.raises(ValueError, match="r must be non-negative: -1"):
+            plane_validity(-1, 5)
