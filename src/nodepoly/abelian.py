@@ -137,18 +137,22 @@ def _check_integer_valued(poly: Poly, var: str, count: int) -> None:
             raise ExactnessError(f"{poly} is not integer-valued at {var}={value}")
 
 
+@lru_cache(maxsize=None)
 def abelian_count(r: int) -> Poly:
     """N_{g,r} as a polynomial in g: curves of genus g with r nodes in the
-    class, through g general points.  Degree r+1, integer-valued."""
+    class, through g general points.  Degree r+1, integer-valued.  Cached
+    per r (nine entries at most)."""
     result = _pushed_count(r, _POINT_INTEGRALS)
     _check_integer_valued(result, "g", r + 3)
     return result
 
 
+@lru_cache(maxsize=None)
 def fixed_class_count(r: int) -> Poly:
     """The fixed-linear-system variant: curves through g-2 general points in
     one linear equivalence class.  This is the fundamental-class coefficient
-    of the grade-0 part of the r-nodal class; lower h powers push to zero."""
+    of the grade-0 part of the r-nodal class; lower h powers push to zero.
+    Cached per r (nine entries at most)."""
     return _pushed_count(r, {(0, 0): 1})
 
 

@@ -2,9 +2,12 @@
 
 A polynomial carries an ordered tuple of variable names and a term map from
 exponent tuples (one non-negative integer per variable) to nonzero rational
-coefficients.  Coefficients are ``fractions.Fraction`` throughout, so every
-operation is exact; this module is the arithmetic substrate for the whole
-package and never touches floating point.
+coefficients.  A coefficient is stored as an ``int`` when it is integral and
+as a ``fractions.Fraction`` otherwise, so every operation is exact and the
+integral polynomials the package is built on cost integer arithmetic only.
+Values (``evaluate``, ``constant_value``) are always ``Fraction``.  This
+module is the arithmetic substrate for the whole package and never touches
+floating point.
 
 Two polynomials over different variable contexts are reconciled by extending
 each to the union context with zero exponents, so ``v + q1`` just works.
@@ -21,6 +24,7 @@ from __future__ import annotations
 import enum
 import re
 from fractions import Fraction
+from operator import add
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -48,11 +52,12 @@ class Homogeneity(enum.Enum):
     MIXED = "inhomogeneous"
 
 
-def _as_fraction(value: Scalar) -> Fraction:
+def _exact(value: Scalar) -> Scalar:
+    """The stored form of a coefficient: an ``int`` when integral, else a ``Fraction``."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
@@ -65,16 +70,32 @@ class Poly:
         vs = tuple(variables)
         if len(set(vs)) != len(vs):
             raise ValueError(f"duplicate variable in context {vs}")
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Scalar] = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
-            if len(exps) != len(vs) or any(e < 0 for e in exps):
+            if len(exps) != len(vs) or any(type(e) is not int or e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for context {vs}")
-            c = _as_fraction(coeff)
+            c = _exact(coeff)
             if c != 0:
                 clean[exps] = c
         self._variables = vs
         self._terms = clean
+
+    @classmethod
+    def _raw(cls, variables: tuple[str, ...], terms: Mapping[Exponents, Scalar]) -> Poly:
+        """A polynomial from terms built out of valid polynomials by this module.
+
+        Trusts the context and the exponent vectors; only drops zero
+        coefficients and stores integral ones as ``int``.
+        """
+        poly = object.__new__(cls)
+        poly._variables = variables
+        poly._terms = {
+            exps: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for exps, c in terms.items()
+            if c
+        }
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -85,7 +106,7 @@ class Poly:
     @classmethod
     def constant(cls, value: Scalar, variables: Iterable[str] = ()) -> Poly:
         vs = tuple(variables)
-        return cls(vs, {(0,) * len(vs): _as_fraction(value)})
+        return cls(vs, {(0,) * len(vs): value})
 
     @classmethod
     def variable(cls, name: str, variables: Iterable[str] | None = None) -> Poly:
@@ -93,7 +114,7 @@ class Poly:
         if name not in vs:
             raise ValueError(f"variable {name!r} not in context {vs}")
         exps = tuple(1 if v == name else 0 for v in vs)
-        return cls(vs, {exps: Fraction(1)})
+        return cls(vs, {exps: 1})
 
     # -- introspection -----------------------------------------------------
 
@@ -102,7 +123,7 @@ class Poly:
         return self._variables
 
     @property
-    def terms(self) -> Mapping[Exponents, Fraction]:
+    def terms(self) -> Mapping[Exponents, Scalar]:
         return MappingProxyType(self._terms)
 
     def is_zero(self) -> bool:
@@ -120,7 +141,7 @@ class Poly:
         for exps, coeff in self._terms.items():
             if any(exps):
                 raise ValueError(f"not a constant polynomial: {self}")
-            value = coeff
+            value = Fraction(coeff)
         return value
 
     def degree_in(self, var: str) -> int:
@@ -143,8 +164,12 @@ class Poly:
         the target context; others may be dropped.
         """
         vs = tuple(variables)
+        if vs == self._variables:
+            return self
         pos = {v: i for i, v in enumerate(vs)}
-        out: dict[Exponents, Fraction] = {}
+        if len(pos) != len(vs):
+            raise ValueError(f"duplicate variable in context {vs}")
+        out: dict[Exponents, Scalar] = {}
         for exps, coeff in self._terms.items():
             new = [0] * len(vs)
             for v, e in zip(self._variables, exps):
@@ -154,8 +179,8 @@ class Poly:
                     raise ValueError(f"cannot drop used variable {v!r} from context")
                 new[pos[v]] = e
             key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return Poly(vs, out)
+            out[key] = out.get(key, 0) + coeff
+        return Poly._raw(vs, out)
 
     @staticmethod
     def _merged_context(a: Poly, b: Poly) -> tuple[str, ...]:
@@ -183,8 +208,8 @@ class Poly:
             return NotImplemented
         out = dict(a._terms)
         for exps, coeff in b._terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return Poly(a._variables, out)
+            out[exps] = out.get(exps, 0) + coeff
+        return Poly._raw(a._variables, out)
 
     def __radd__(self, other: Any) -> Poly:
         return self.__add__(other)
@@ -195,25 +220,25 @@ class Poly:
             return NotImplemented
         out = dict(a._terms)
         for exps, coeff in b._terms.items():
-            out[exps] = out.get(exps, Fraction(0)) - coeff
-        return Poly(a._variables, out)
+            out[exps] = out.get(exps, 0) - coeff
+        return Poly._raw(a._variables, out)
 
     def __rsub__(self, other: Any) -> Poly:
         return (-self).__add__(other)
 
     def __neg__(self) -> Poly:
-        return Poly(self._variables, {e: -c for e, c in self._terms.items()})
+        return Poly._raw(self._variables, {e: -c for e, c in self._terms.items()})
 
     def __mul__(self, other: Any) -> Poly:
         a, b = self._aligned(other)
         if a is NotImplemented:
             return NotImplemented
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Scalar] = {}
         for ea, ca in a._terms.items():
             for eb, cb in b._terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, Fraction(0)) + ca * cb
-        return Poly(a._variables, out)
+                key = tuple(map(add, ea, eb))
+                out[key] = out.get(key, 0) + ca * cb
+        return Poly._raw(a._variables, out)
 
     def __rmul__(self, other: Any) -> Poly:
         return self.__mul__(other)
@@ -232,10 +257,11 @@ class Poly:
         return result
 
     def __truediv__(self, other: Scalar) -> Poly:
-        c = _as_fraction(other)
+        c = _exact(other)
         if c == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return Poly(self._variables, {e: coeff / c for e, coeff in self._terms.items()})
+        quotient = {e: Fraction(coeff) / c for e, coeff in self._terms.items()}
+        return Poly._raw(self._variables, quotient)
 
     def __eq__(self, other: Any) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -258,7 +284,8 @@ class Poly:
         """Apply the ring homomorphism sending each variable to its image.
 
         Variables absent from ``mapping`` map to themselves.  The identity
-        mapping returns an equal polynomial.
+        mapping returns an equal polynomial.  All images are moved into one
+        context first, so no product of the evaluation reconciles contexts.
         """
         images: dict[str, Poly] = {}
         for v in self._variables:
@@ -268,7 +295,9 @@ class Poly:
             elif isinstance(img, (int, Fraction)):
                 img = Poly.constant(img)
             images[v] = img
-        return evaluate_in(self, images, Poly.constant(1))
+        union = tuple(dict.fromkeys(w for img in images.values() for w in img._variables))
+        images = {v: img.in_context(union) for v, img in images.items()}
+        return evaluate_in(self, images, Poly.constant(1, union))
 
     def divrem(self, divisor: Poly, var: str) -> tuple[Poly, Poly]:
         """Long division in ``var`` over the remaining-variable coefficient ring.
@@ -291,7 +320,7 @@ class Poly:
             k = rem.degree_in(var)
             lead = rem.coefficient_of(var, k).in_context(ctx)
             shift = tuple(k - n if j == i else 0 for j in range(len(ctx)))
-            t = lead * Poly(ctx, {shift: Fraction(1)})
+            t = lead * Poly._raw(ctx, {shift: 1})
             quotient = quotient + t
             rem = rem - t * d
         return quotient, rem
@@ -300,13 +329,13 @@ class Poly:
         """The polynomial in the remaining variables multiplying var**k."""
         i = self._index(var)
         rest = tuple(v for v in self._variables if v != var)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Scalar] = {}
         for exps, coeff in self._terms.items():
             if exps[i] != k:
                 continue
             key = tuple(e for j, e in enumerate(exps) if j != i)
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return Poly(rest, out)
+            out[key] = out.get(key, 0) + coeff
+        return Poly._raw(rest, out)
 
     def weighted_degree(self, weights: Mapping[str, int]) -> int | Homogeneity:
         """Common weighted degree of all terms, or a Homogeneity sentinel.
@@ -336,12 +365,12 @@ class Poly:
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a point; every occurring variable must be assigned."""
-        values = {v: _as_fraction(point[v]) for v in self._variables if v in point}
-        return evaluate_in(self, values, Fraction(1))
+        values = {v: _exact(point[v]) for v in self._variables if v in point}
+        return Fraction(evaluate_in(self, values, 1))
 
     # -- canonical text form -------------------------------------------------
 
-    def _sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
+    def _sorted_terms(self) -> list[tuple[Exponents, Scalar]]:
         # graded lex, highest first: total degree, then exponent vector
         return sorted(self._terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
@@ -372,7 +401,7 @@ class Poly:
         return f"Poly({self._variables!r}, {self})"
 
 
-def _format_fraction(value: Fraction) -> str:
+def _format_fraction(value: Scalar) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

@@ -52,7 +52,7 @@ _CONTEXT = ("m",)
 
 def _as_poly(value: Poly | Scalar) -> Poly:
     if isinstance(value, Poly):
-        return value.in_context(_CONTEXT) if value.variables != _CONTEXT else value
+        return value.in_context(_CONTEXT)
     return Poly.constant(value, _CONTEXT)
 
 

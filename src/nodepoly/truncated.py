@@ -37,7 +37,7 @@ class Truncated:
                 if sum(exps[i] * w for i, w in slots) <= cap
             }
             if len(kept) < poly.term_count():
-                poly = Poly(poly.variables, kept)
+                poly = Poly._raw(poly.variables, kept)
         self.poly = poly
         self.weights = weights
         self.cap = cap
@@ -79,7 +79,7 @@ class Truncated:
                 grouped.setdefault(exps[:n], {})[exps[n:]] = coeff
         total = Poly.zero(rest)
         for key, terms in grouped.items():
-            total = total + Poly(rest, terms) * table[key]
+            total = total + Poly._raw(rest, terms) * table[key]
         return total
 
 

@@ -64,11 +64,22 @@ class TestAq:
             assert coeff.denominator == 1
 
     def test_nodal_class_cached_per_r(self):
+        # the counts are cached too; forget them so each one asks for its class
+        abelian_count.cache_clear()
+        fixed_class_count.cache_clear()
         nodal_locus_class.cache_clear()
         for r in range(9):
             abelian_count(r)
             fixed_class_count(r)
         info = nodal_locus_class.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (9, 9, 9)
+
+    @pytest.mark.parametrize("count", [abelian_count, fixed_class_count])
+    def test_counts_cached_per_r(self, count):
+        count.cache_clear()
+        first = [count(r) for r in range(9)]
+        assert all(count(r) is first[r] for r in range(9))
+        info = count.cache_info()
         assert (info.currsize, info.misses, info.hits) == (9, 9, 9)
 
     @pytest.mark.parametrize("r", range(9))

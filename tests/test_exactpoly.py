@@ -247,3 +247,59 @@ class TestSerialization:
             parse("3*m^2 $ 2")
         with pytest.raises(ValueError):
             parse("m^")
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("exponent", [1.5, 1.0, Fraction(1), "1", -1])
+    def test_rejects_exponents_that_are_not_natural_numbers(self, exponent):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            Poly(("x",), {(exponent,): 1})
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            Poly(("x", "y"), {(1,): 1})
+
+    def test_rejects_inexact_coefficients(self):
+        with pytest.raises(TypeError):
+            Poly(("x",), {(1,): 0.5})
+
+
+class TestCoefficientStorage:
+    """Integral coefficients are stored as ``int``, the others as ``Fraction``."""
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_node_and_abelian_polynomials_are_int(self, q):
+        from nodepoly.abelian import abelian_aq
+        from nodepoly.nodegen import node_polynomial
+
+        for poly in (node_polynomial(q), abelian_aq(q)):
+            assert all(type(c) is int for c in poly.terms.values())
+
+    def test_integral_quotient_is_demoted(self):
+        p = (V("x") / 2) * 2
+        assert p.terms == {(1,): 1}
+        assert type(p.terms[(1,)]) is int
+
+    def test_division_gives_a_fraction(self):
+        (coeff,) = (V("x") / 3).terms.values()
+        assert type(coeff) is Fraction and coeff == Fraction(1, 3)
+
+    def test_constructor_demotes_integral_fractions(self):
+        (coeff,) = Poly(("x",), {(1,): Fraction(4, 2)}).terms.values()
+        assert type(coeff) is int and coeff == 2
+
+    def test_values_are_fractions(self):
+        from nodepoly.surface import plane_count
+
+        assert type(parse("3*m^2 - 6*m + 3").evaluate({"m": 2})) is Fraction
+        assert type(Poly.zero(VARS).evaluate({})) is Fraction
+        assert type(C(7, VARS).constant_value()) is Fraction
+        assert type(Poly.zero(VARS).constant_value()) is Fraction
+        assert type(plane_count(8, 5)) is Fraction and plane_count(8, 5) == 26136
+
+    def test_int_and_fraction_coefficients_agree(self):
+        as_int = Poly(VARS, {(1, 0, 0): 2, (0, 0, 1): -3})
+        as_fraction = Poly(VARS, {(1, 0, 0): Fraction(2), (0, 0, 1): Fraction(-3)})
+        assert as_int == as_fraction
+        assert hash(as_int) == hash(as_fraction)
+        assert str(as_int) == str(as_fraction) == "2*v - 3*w2"

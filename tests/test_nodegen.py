@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from nodepoly import nodegen
+from nodepoly.cli import run
 from nodepoly.exactpoly import Poly, parse
 from nodepoly.nodegen import (
     CLASS_VARIABLES,
@@ -22,6 +25,10 @@ from nodepoly.nodegen import (
     node_polynomials,
     q_transform,
 )
+
+#: ``str(b_q)`` for q = 1..8, one line each, recorded from the generator
+#: while every coefficient was still stored as a ``Fraction``.
+GOLDEN_BQ = (Path(__file__).parent / "golden" / "node_polynomials.txt").read_text().splitlines()
 
 
 def clear_generator() -> None:
@@ -148,6 +155,14 @@ class TestGenerator:
             assert first.b(q) is not second.b(q)  # really rebuilt
             assert first.b(q) == second.b(q)
             assert str(first.b(q)) == str(second.b(q))
+
+    def test_text_matches_golden(self):
+        assert [str(node_polynomial(q)) for q in range(1, 9)] == GOLDEN_BQ
+
+    def test_bq_command_matches_golden(self, capsys):
+        assert run(["bq", "--format", "json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [json.loads(line)["result"] for line in lines] == GOLDEN_BQ
 
     def test_set_holds_the_lazy_polynomials(self):
         ns = node_polynomials()
