@@ -221,7 +221,7 @@ def _cmd_enriques(args: argparse.Namespace) -> Iterable[OutputRecord]:
             OutputRecord(
                 "enriques",
                 inputs,
-                "; ".join(enriques.to_text(d).strip().splitlines()),
+                enriques.to_text(d).rstrip("\n").replace("\n", "; "),
                 None,
                 "diagram-enumeration",
             )
@@ -423,6 +423,9 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
         for name in need:
             if getattr(args, name) is None:
                 parser.error(f"validity {args.predicate} needs --{name}")
+        for name in ("r", "m", "g", "d", "k", "surface"):
+            if name not in need and getattr(args, name) is not None:
+                parser.error(f"validity {args.predicate} cannot be combined with --{name}")
 
 
 def run(argv: Sequence[str]) -> int:

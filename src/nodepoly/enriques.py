@@ -358,66 +358,54 @@ def _shift(tree: tuple[Vertex, ...], base: int) -> tuple[Vertex, ...]:
 def _single_root_catalog(max_vertices: int, max_weight: int) -> list[TreeKey]:
     """All single-root valid minimal diagrams up to iso, as sorted keys.
 
-    Trees are generated in preorder: a new vertex attaches to any vertex on
-    the rightmost path, so every ordered tree arises once; unordered
-    duplicates collapse through the canonical key.  Capacities (remaining
-    proximity budget per vertex) prune the search.
+    Orderly generation: a vertex's children are chosen as a non-decreasing
+    tuple of keys, the order ``canonical_key`` sorts them in, so each
+    isomorphism class is built once and no tree needs a canonical form or
+    a duplicate check.  A child's remote target is its grandparent or its
+    parent's remote target, which is the proximity chain.
+
+    Every yielded tree is valid and minimal without a ``validate`` pass.
+    ``caps`` holds the remaining proximity budget of each vertex on the
+    current path (``caps[0]`` bounds the root weight by ``max_weight``).
+    A new vertex of weight w may not exceed the budget of its parent or of
+    its remote target and takes w from both, so no vertex ever carries
+    more proximate weight than its own; a free leaf of weight 1 is skipped.
     """
-    found: set[TreeKey] = set()
-    weights: list[int] = []
-    parents: list[int | None] = []
-    remotes: list[int | None] = []
-    caps: list[int] = []
+    caps = [max_weight]
 
-    def record() -> None:
-        diagram = EnriquesDiagram(
-            tuple(Vertex(w, p, r) for w, p, r in zip(weights, parents, remotes))
-        )
-        if validate(diagram) is None:
-            found.add(canonical_key(diagram)[0])
+    def vertex(room: int, offset: int) -> Iterator[tuple[TreeKey, int]]:
+        """Subtrees of at most ``room`` vertices below ``caps[-1]`` whose root
+        is remote-proximate ``offset`` generations up (0: free), with sizes."""
+        targets = (-1, -offset) if offset else (-1,)
+        for w in range(1, min(caps[t] for t in targets) + 1):
+            for t in targets:
+                caps[t] -= w
+            caps.append(w)
+            for children, size in family(room - 1, offset, ()):
+                if w > 1 or offset or children:
+                    own = caps.pop()  # siblings are placed one level up
+                    yield (w, offset, children), size + 1
+                    caps.append(own)
+            caps.pop()
+            for t in targets:
+                caps[t] += w
 
-    def grow(stack: list[int]) -> None:
-        record()
-        if len(weights) == max_vertices:
+    def family(room: int, offset: int, least: tuple) -> Iterator[tuple[tuple, int]]:
+        """Children of the vertex at ``caps[-1]`` (its own remote ``offset``),
+        as non-decreasing tuples of keys no smaller than ``least``."""
+        yield (), 0
+        if not room:
             return
-        for pos in range(len(stack)):
-            parent = stack[pos]
-            path = stack[: pos + 1]
-            for w in range(1, min(max_weight, caps[parent]) + 1):
-                # remote target: a vertex the parent is proximate to (its own
-                # parent or remote target), with budget for one more vertex
-                candidates = {parents[parent], remotes[parent]}
-                remote_options: list[int | None] = [None]
-                remote_options += [a for a in candidates if a is not None and caps[a] >= w]
-                for remote in remote_options:
-                    idx = len(weights)
-                    weights.append(w)
-                    parents.append(parent)
-                    remotes.append(remote)
-                    caps.append(w)
-                    caps[parent] -= w
-                    if remote is not None:
-                        caps[remote] -= w
-                    grow(path + [idx])
-                    caps[parent] += w
-                    if remote is not None:
-                        caps[remote] += w
-                    weights.pop()
-                    parents.pop()
-                    remotes.pop()
-                    caps.pop()
+        offsets = [0, 2] if len(caps) > 2 else [0]  # caps[0] is not a vertex
+        if offset:
+            offsets.append(offset + 1)
+        for child_offset in offsets:
+            for key, size in vertex(room, child_offset):
+                if key >= least:
+                    for rest, more in family(room - size, offset, key):
+                        yield (key, *rest), size + more
 
-    for root_weight in range(1, max_weight + 1):
-        weights.append(root_weight)
-        parents.append(None)
-        remotes.append(None)
-        caps.append(root_weight)
-        grow([0])
-        weights.pop()
-        parents.pop()
-        remotes.pop()
-        caps.pop()
-    return sorted(found)
+    return sorted(key for key, _ in vertex(max_vertices, 0))
 
 
 def _forests(sizes: list[int], max_vertices: int) -> Iterator[tuple[int, ...]]:

@@ -192,7 +192,8 @@ class Poly:
 
     def _aligned(self, other: Any) -> tuple[Poly, Poly]:
         if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other, self._variables)
+            vs = self._variables
+            return self, Poly._raw(vs, {(0,) * len(vs): _exact(other)})
         if not isinstance(other, Poly):
             return NotImplemented, NotImplemented  # type: ignore[return-value]
         if self._variables == other._variables:
@@ -264,11 +265,9 @@ class Poly:
         return Poly._raw(self._variables, quotient)
 
     def __eq__(self, other: Any) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other, self._variables)
-        if not isinstance(other, Poly):
-            return NotImplemented
         a, b = self._aligned(other)
+        if a is NotImplemented:
+            return NotImplemented
         return a._terms == b._terms
 
     def __hash__(self) -> int:

@@ -287,6 +287,10 @@ class TestErrors:
             ["p4", "--m", "5", "--symbolic"],
             ["p4", "--m", "5", "--lines3"],
             ["p4", "--m", "0", "--irreducible"],
+            ["validity", "plane", "--r", "1", "--m", "3", "--g", "5"],
+            ["validity", "plane", "--r", "1", "--m", "3", "--surface", "k3"],
+            ["validity", "abelian", "--m", "1", "--g", "5", "--r", "3", "--d", "4"],
+            ["validity", "kva", "--surface", "k3", "--m", "1", "--d", "8", "--k", "0", "--r", "3"],
         ],
     )
     def test_conflicting_modes(self, capsys, argv):

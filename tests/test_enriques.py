@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -220,6 +222,43 @@ class TestEnumeration:
         # strictly increasing: the order contract, and no duplicates
         order = [(len(d), canonical_key(d)) for d in enumerate_diagrams(6, 5)]
         assert all(a < b for a, b in zip(order, order[1:]))
+
+
+@cache
+def labelled_catalog(max_vertices, max_weight):
+    """Canonical keys of the valid single-root trees, found by brute force,
+    each with its vertex count and largest weight.
+
+    Every labelled tree is built: vertex i > 0 takes any earlier vertex as
+    parent, a remote target that is none or a proper ancestor other than
+    the parent, and any weight in 1..max_weight.
+    """
+    found = {}
+    for n in range(1, max_vertices + 1):
+        for parents in product(*(range(i) for i in range(1, n))):
+            ancestors = [[]]  # proper ancestors, nearest first
+            for p in parents:
+                ancestors.append([p] + ancestors[p])
+            remotes = [[None]] + [[None] + up[1:] for up in ancestors[1:]]
+            for remote in product(*remotes):
+                for weights in product(range(1, max_weight + 1), repeat=n):
+                    diagram = EnriquesDiagram(
+                        tuple(map(Vertex, weights, (None, *parents), remote))
+                    )
+                    if validate(diagram) is None:
+                        found[canonical_key(diagram)] = (n, max(weights))
+    return found
+
+
+class TestCatalogOracle:
+    @pytest.mark.parametrize(
+        "v,w", [(v, w) for v in range(1, 5) for w in range(1, 5)] + [(5, 3)]
+    )
+    def test_single_root_diagrams_match_brute_force(self, v, w):
+        found = labelled_catalog(*((4, 4) if v <= 4 else (5, 3)))
+        expected = sorted(k for k, (n, top) in found.items() if n <= v and top <= w)
+        single = [d for d in enumerate_diagrams(v, w) if len(d.roots()) == 1]
+        assert sorted(canonical_key(d) for d in single) == expected
 
 
 class TestTextFormat:

@@ -303,3 +303,10 @@ class TestCoefficientStorage:
         assert as_int == as_fraction
         assert hash(as_int) == hash(as_fraction)
         assert str(as_int) == str(as_fraction) == "2*v - 3*w2"
+
+    def test_scalar_operands_keep_int_coefficients(self):
+        x = V("x")
+        for p, text in ((x * True, "x"), (True * x, "x"), (x + Fraction(2), "x + 2")):
+            assert str(p) == text
+            assert all(type(c) is int for c in p.terms.values())
+        assert x != 1 and C(1, ("x",)) == 1 and C(1, ("x",)) == Fraction(1)
