@@ -7,6 +7,11 @@ range predicates.  Every command emits a stream of records with a fixed
 shape (command, inputs, result, validity annotation, reference tag) in
 aligned text, JSON lines, or CSV.  Output is deterministic byte for byte.
 
+``MODES`` lists each subcommand's modes with the options each one needs and
+may take, and its handler.  A mode is chosen by its flag (``plane --table``),
+the positional action or predicate (``validity kva``), or by default; two
+mode flags, a missing option or one the mode does not take are refused.
+
 Evaluations outside a proven validity range still succeed; the record just
 carries an explicit annotation saying so.  Exit codes: 0 on success, 2 on
 usage errors (conflicting modes, values outside a function's domain, an
@@ -25,7 +30,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import abelian, enriques, grassmann, surface
 from .exactpoly import ExactnessError
@@ -89,14 +94,6 @@ def _int_result(value: Fraction | int) -> int:
     return value.numerator
 
 
-def _plane_annotation(r: int, m: int) -> str:
-    return (
-        "in range (m >= r/2+1)"
-        if surface.plane_validity(r, m)
-        else "outside range (m >= r/2+1)"
-    )
-
-
 def _p4_annotation(m: int) -> str:
     return "in range (m >= 4)" if grassmann.threefold_validity(m) else "outside range (m >= 4)"
 
@@ -109,186 +106,183 @@ def _cmd_bq(args: argparse.Namespace) -> list[OutputRecord]:
     ]
 
 
-def _cmd_plane(args: argparse.Namespace) -> list[OutputRecord]:
-    if args.table:
-        return [
-            OutputRecord(
-                "plane", {"q": q}, str(surface.surface_aq(q, surface.ChernNumbers.plane())),
-                None, "plane-aq",
-            )
-            for q in range(1, 9)
-        ]
-    if args.symbolic:
-        poly = surface.severi_degree(args.r)
-        return [
-            OutputRecord("plane", {"r": args.r}, str(poly), None, "severi-polynomial")
-        ]
-    value = surface.plane_count(args.r, args.m)
+def _cmd_plane_table(args: argparse.Namespace) -> list[OutputRecord]:
+    plane = surface.ChernNumbers.plane()
     return [
-        OutputRecord(
-            "plane",
-            {"r": args.r, "m": args.m},
-            _int_result(value),
-            _plane_annotation(args.r, args.m),
-            "severi-count",
-        )
+        OutputRecord("plane", {"q": q}, str(surface.surface_aq(q, plane)), None, "plane-aq")
+        for q in range(1, 9)
     ]
 
 
-def _cmd_p4(args: argparse.Namespace) -> list[OutputRecord]:
-    if args.symbolic:
-        return [
-            OutputRecord(
-                "p4", {}, str(grassmann.threefold_6nodal_symbolic()), None,
-                "p4-6nodal-polynomial",
-            )
-        ]
-    if args.lines3:
-        return [
-            OutputRecord(
-                "p4", {}, str(grassmann.threefold_3nodal_lines()), None, "p4-3nodal-lines"
-            )
-        ]
-    if args.irreducible:
-        return [
-            OutputRecord(
-                "p4", {"m": 5}, grassmann.quintic_irreducible(), _p4_annotation(5),
-                "p4-quintic-irreducible",
-            )
-        ]
+def _cmd_plane_symbolic(args: argparse.Namespace) -> list[OutputRecord]:
+    poly = surface.severi_degree(args.r)
+    return [OutputRecord("plane", {"r": args.r}, str(poly), None, "severi-polynomial")]
+
+
+def _cmd_plane_count(args: argparse.Namespace) -> list[OutputRecord]:
+    value = _int_result(surface.plane_count(args.r, args.m))
+    valid = "in range" if surface.plane_validity(args.r, args.m) else "outside range"
+    inputs = {"r": args.r, "m": args.m}
+    return [OutputRecord("plane", inputs, value, f"{valid} (m >= r/2+1)", "severi-count")]
+
+
+def _cmd_p4_symbolic(args: argparse.Namespace) -> list[OutputRecord]:
+    poly = grassmann.threefold_6nodal_symbolic()
+    return [OutputRecord("p4", {}, str(poly), None, "p4-6nodal-polynomial")]
+
+
+def _cmd_p4_lines3(args: argparse.Namespace) -> list[OutputRecord]:
+    poly = grassmann.threefold_3nodal_lines()
+    return [OutputRecord("p4", {}, str(poly), None, "p4-3nodal-lines")]
+
+
+def _cmd_p4_irreducible(args: argparse.Namespace) -> list[OutputRecord]:
+    value = grassmann.quintic_irreducible()
+    return [OutputRecord("p4", {"m": 5}, value, _p4_annotation(5), "p4-quintic-irreducible")]
+
+
+def _cmd_p4_count(args: argparse.Namespace) -> list[OutputRecord]:
+    value = grassmann.threefold_6nodal(args.m)
+    return [OutputRecord("p4", {"m": args.m}, value, _p4_annotation(args.m), "p4-6nodal-count")]
+
+
+def _cmd_abelian_table(args: argparse.Namespace) -> list[OutputRecord]:
     return [
-        OutputRecord(
-            "p4", {"m": args.m}, grassmann.threefold_6nodal(args.m), _p4_annotation(args.m),
-            "p4-6nodal-count",
-        )
+        OutputRecord("abelian", {"r": r}, str(abelian.abelian_count(r)), None, "abelian-table")
+        for r in range(9)
     ]
 
 
-def _cmd_abelian(args: argparse.Namespace) -> list[OutputRecord]:
-    if args.table:
-        return [
-            OutputRecord(
-                "abelian", {"r": r}, str(abelian.abelian_count(r)), None, "abelian-table"
-            )
-            for r in range(9)
-        ]
-    if args.fixed_class:
-        return [
-            OutputRecord(
-                "abelian", {"r": args.r}, str(abelian.fixed_class_count(args.r)), None,
-                "abelian-fixed-class",
-            )
-        ]
-    if args.oracle:
-        return [
-            OutputRecord(
-                "abelian",
-                {"g": args.g, "r": args.r},
-                abelian.bryan_leung_count(args.g, args.r),
-                None,
-                "abelian-oracle",
-            )
-        ]
+def _cmd_abelian_fixed_class(args: argparse.Namespace) -> list[OutputRecord]:
+    poly = abelian.fixed_class_count(args.r)
+    return [OutputRecord("abelian", {"r": args.r}, str(poly), None, "abelian-fixed-class")]
+
+
+def _cmd_abelian_oracle(args: argparse.Namespace) -> list[OutputRecord]:
+    value = abelian.bryan_leung_count(args.g, args.r)
+    return [OutputRecord("abelian", {"g": args.g, "r": args.r}, value, None, "abelian-oracle")]
+
+
+def _cmd_abelian_count(args: argparse.Namespace) -> list[OutputRecord]:
+    """N_{g,r} as a polynomial in g, or its value when --g is given."""
     if args.g is not None and args.g < 1:
         raise ValueError(f"g must be at least 1: {args.g}")
     poly = abelian.abelian_count(args.r)
     if args.g is None:
         return [OutputRecord("abelian", {"r": args.r}, str(poly), None, "abelian-count")]
     value = _int_result(poly.evaluate({"g": args.g}))
-    return [
-        OutputRecord(
-            "abelian", {"r": args.r, "g": args.g}, value, None, "abelian-count"
-        )
-    ]
+    return [OutputRecord("abelian", {"r": args.r, "g": args.g}, value, None, "abelian-count")]
 
 
-def _read_diagram(path: str) -> enriques.EnriquesDiagram:
+def _cmd_enriques_enumerate(args: argparse.Namespace) -> Iterable[OutputRecord]:
+    inputs = {"max-v": args.max_v, "max-w": args.max_w}
+    return (
+        OutputRecord("enriques", inputs, enriques.to_text(d).rstrip("\n").replace("\n", "; "),
+                     None, "diagram-enumeration")
+        for d in enriques.enumerate_diagrams(args.max_v, args.max_w)
+    )
+
+
+def _diagram_query(args: argparse.Namespace, query: Callable, ref: str) -> list[OutputRecord]:
+    """The record of ``query`` on the diagram in ``args.file`` (``-``: standard input)."""
     try:
-        if path == "-":
+        if args.file == "-":
             text = sys.stdin.read()
         else:
-            with open(path, encoding="utf-8") as fh:
+            with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()
-        return enriques.from_text(text)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"diagram {path}: {exc}") from exc
-
-
-def _cmd_enriques(args: argparse.Namespace) -> Iterable[OutputRecord]:
-    if args.action == "enumerate":
-        inputs = {"max-v": args.max_v, "max-w": args.max_w}
-        return (
-            OutputRecord(
-                "enriques",
-                inputs,
-                enriques.to_text(d).rstrip("\n").replace("\n", "; "),
-                None,
-                "diagram-enumeration",
-            )
-            for d in enriques.enumerate_diagrams(args.max_v, args.max_w)
-        )
-    diagram = _read_diagram(args.file)
-    try:
-        result, ref = _diagram_result(args.action, diagram)
-    except ValueError as exc:  # not a valid (single-root) diagram
+        result = query(enriques.from_text(text))
+    except (OSError, ValueError) as exc:  # unreadable, unparsable or not a valid diagram
         raise ValueError(f"diagram {args.file}: {exc}") from exc
     return [OutputRecord("enriques", {"file": args.file}, result, None, ref)]
 
 
-def _diagram_result(action: str, diagram: enriques.EnriquesDiagram) -> tuple[str, str]:
-    """The result text and reference tag of one diagram query."""
-    if action == "check":
-        violation = enriques.validate(diagram)
-        return ("ok" if violation is None else str(violation)), "diagram-check"
-    if action == "invariants":
-        inv = enriques.invariants(diagram)
-        parts = [
-            f"roots={inv.roots}", f"free={inv.free_vertices}", f"dim={inv.dim}",
-            f"deg={inv.deg}", f"cod={inv.cod}", f"delta={inv.delta}",
-            f"branches={inv.branches}", f"milnor={inv.milnor}",
-        ]
-        if inv.jacobian_mult is not None:
-            parts.append(f"e={inv.jacobian_mult}")
-        return " ".join(parts), "diagram-invariants"
-    report = enriques.inequality_report(diagram)
-    body = " ".join(
-        f"{r.part}={'eq' if r.equality else ('holds' if r.holds else 'FAIL')}"
-        for r in report
-    )
-    return body, "diagram-inequalities"
-
-
-def _cmd_validity(args: argparse.Namespace) -> list[OutputRecord]:
-    if args.predicate == "plane":
-        ok = surface.plane_validity(args.r, args.m)
-        return [
-            OutputRecord(
-                "validity", {"predicate": "plane", "r": args.r, "m": args.m},
-                str(ok).lower(), None, "validity-plane",
-            )
-        ]
-    if args.predicate == "abelian":
-        ok = abelian.abelian_validity(args.m, args.g, args.r)
-        return [
-            OutputRecord(
-                "validity",
-                {"predicate": "abelian", "m": args.m, "g": args.g, "r": args.r},
-                str(ok).lower(),
-                None,
-                "validity-abelian",
-            )
-        ]
-    ok = abelian.k_very_ample_ok(args.surface, args.m, args.d, args.k)
-    return [
-        OutputRecord(
-            "validity",
-            {"predicate": "kva", "surface": args.surface, "m": args.m, "d": args.d,
-             "k": args.k},
-            str(ok).lower(),
-            None,
-            "validity-kva",
-        )
+def _invariants_text(diagram: enriques.EnriquesDiagram) -> str:
+    inv = enriques.invariants(diagram)
+    parts = [
+        f"roots={inv.roots}", f"free={inv.free_vertices}", f"dim={inv.dim}",
+        f"deg={inv.deg}", f"cod={inv.cod}", f"delta={inv.delta}",
+        f"branches={inv.branches}", f"milnor={inv.milnor}",
     ]
+    if inv.jacobian_mult is not None:
+        parts.append(f"e={inv.jacobian_mult}")
+    return " ".join(parts)
+
+
+def _inequalities_text(diagram: enriques.EnriquesDiagram) -> str:
+    return " ".join(
+        f"{r.part}={'eq' if r.equality else ('holds' if r.holds else 'FAIL')}"
+        for r in enriques.inequality_report(diagram)
+    )
+
+
+def _cmd_enriques_check(args: argparse.Namespace) -> list[OutputRecord]:
+    return _diagram_query(args, lambda d: str(enriques.validate(d) or "ok"), "diagram-check")
+
+
+def _cmd_enriques_invariants(args: argparse.Namespace) -> list[OutputRecord]:
+    return _diagram_query(args, _invariants_text, "diagram-invariants")
+
+
+def _cmd_enriques_inequalities(args: argparse.Namespace) -> list[OutputRecord]:
+    return _diagram_query(args, _inequalities_text, "diagram-inequalities")
+
+
+def _validity_record(args: argparse.Namespace, ok: bool) -> list[OutputRecord]:
+    """The record of a validity predicate, with the inputs its mode needs."""
+    needs = MODES["validity"][args.mode][0]
+    inputs = {"predicate": args.mode, **{_dest(o): getattr(args, _dest(o)) for o in needs}}
+    return [OutputRecord("validity", inputs, str(ok).lower(), None, f"validity-{args.mode}")]
+
+
+def _cmd_validity_plane(args: argparse.Namespace) -> list[OutputRecord]:
+    return _validity_record(args, surface.plane_validity(args.r, args.m))
+
+
+def _cmd_validity_abelian(args: argparse.Namespace) -> list[OutputRecord]:
+    return _validity_record(args, abelian.abelian_validity(args.m, args.g, args.r))
+
+
+def _cmd_validity_kva(args: argparse.Namespace) -> list[OutputRecord]:
+    return _validity_record(args, abelian.k_very_ample_ok(args.surface, args.m, args.d, args.k))
+
+
+#: subcommand -> mode -> (options the mode needs, options it may take, handler
+#: name).  A mode named like a flag is chosen by that flag, a bare name by the
+#: positional action or predicate, and "" when no mode flag is given.  Any
+#: other option of the subcommand is refused.  Handlers are looked up by name
+#: when a command runs, so a rebound ``_cmd_*`` (for tracing) is the one called.
+MODES: dict[str, dict[str, tuple[tuple[str, ...], tuple[str, ...], str]]] = {
+    "bq": {"": ((), ("--q",), "_cmd_bq")},
+    "plane": {
+        "--table": ((), (), "_cmd_plane_table"),
+        "--symbolic": (("--r",), (), "_cmd_plane_symbolic"),
+        "": (("--r", "--m"), (), "_cmd_plane_count"),
+    },
+    "p4": {
+        "--symbolic": ((), (), "_cmd_p4_symbolic"),
+        "--lines3": ((), (), "_cmd_p4_lines3"),
+        "--irreducible": ((), (), "_cmd_p4_irreducible"),
+        "": (("--m",), (), "_cmd_p4_count"),
+    },
+    "abelian": {
+        "--table": ((), (), "_cmd_abelian_table"),
+        "--fixed-class": (("--r",), (), "_cmd_abelian_fixed_class"),
+        "--oracle": (("--r", "--g"), (), "_cmd_abelian_oracle"),
+        "": (("--r",), ("--g",), "_cmd_abelian_count"),
+    },
+    "enriques": {
+        "check": (("file",), (), "_cmd_enriques_check"),
+        "invariants": (("file",), (), "_cmd_enriques_invariants"),
+        "inequalities": (("file",), (), "_cmd_enriques_inequalities"),
+        "enumerate": (("--max-v", "--max-w"), (), "_cmd_enriques_enumerate"),
+    },
+    "validity": {
+        "plane": (("--r", "--m"), (), "_cmd_validity_plane"),
+        "abelian": (("--m", "--g", "--r"), (), "_cmd_validity_abelian"),
+        "kva": (("--surface", "--m", "--d", "--k"), (), "_cmd_validity_kva"),
+    },
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,21 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=FORMATS, default="text")
-
     p = sub.add_parser("bq", help="dump the node polynomials b_1..b_8")
     p.add_argument("--q", type=int, choices=range(1, 9))
-    add_format(p)
-    p.set_defaults(handler=_cmd_bq)
 
     p = sub.add_parser("plane", help="plane curves of degree m with r nodes")
-    p.add_argument("--r", type=int)
+    p.add_argument("--r", type=int, choices=range(9))
     p.add_argument("--m", type=int)
     p.add_argument("--table", action="store_true", help="the eight a_q polynomials")
     p.add_argument("--symbolic", action="store_true", help="the node polynomial N_r(m)")
-    add_format(p)
-    p.set_defaults(handler=_cmd_plane)
 
     p = sub.add_parser("p4", help="plane curves on a threefold in four-space")
     p.add_argument("--m", type=int, help="threefold degree for the 6-nodal count")
@@ -321,124 +308,77 @@ def build_parser() -> argparse.ArgumentParser:
                    help="3-nodal curves meeting three general lines (degree-9 polynomial)")
     p.add_argument("--irreducible", action="store_true",
                    help="irreducible 6-nodal plane quintics on a quintic threefold")
-    add_format(p)
-    p.set_defaults(handler=_cmd_p4)
 
     p = sub.add_parser("abelian", help="curves in a homology class on an abelian surface")
-    p.add_argument("--r", type=int)
+    p.add_argument("--r", type=int, choices=range(9))
     p.add_argument("--g", type=int)
     p.add_argument("--table", action="store_true", help="the nine count polynomials")
     p.add_argument("--fixed-class", action="store_true", dest="fixed_class",
                    help="fixed linear-system variant")
     p.add_argument("--oracle", action="store_true",
                    help="generating-function count (independent route)")
-    add_format(p)
-    p.set_defaults(handler=_cmd_abelian)
 
     p = sub.add_parser("enriques", help="check, measure or enumerate diagrams")
-    p.add_argument("action", choices=("check", "invariants", "inequalities", "enumerate"))
+    p.add_argument("mode", choices=MODES["enriques"])
     p.add_argument("file", nargs="?", help="diagram file, or - for standard input")
-    p.add_argument("--max-v", type=int, dest="max_v")
-    p.add_argument("--max-w", type=int, dest="max_w")
-    add_format(p)
-    p.set_defaults(handler=_cmd_enriques)
+    p.add_argument("--max-v", type=int, dest="max_v", choices=range(1, 8))
+    p.add_argument("--max-w", type=int, dest="max_w", choices=range(1, 7))
 
     p = sub.add_parser("validity", help="evaluate the range predicates")
-    p.add_argument("predicate", choices=("plane", "abelian", "kva"))
-    p.add_argument("--r", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--g", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("mode", choices=MODES["validity"])
+    for name in ("--r", "--m", "--g", "--d", "--k"):
+        p.add_argument(name, type=int)
     p.add_argument("--surface", choices=("abelian", "k3", "enriques"))
-    add_format(p)
-    p.set_defaults(handler=_cmd_validity)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=FORMATS, default="text")
+        p.set_defaults(parser=p)
     return parser
 
 
-def _refuse(
-    parser: argparse.ArgumentParser, args: argparse.Namespace, mode: str, *others: str
-) -> None:
-    """A usage error if any of ``others`` (argument names) is given with ``mode``."""
-    for other in others:
-        value = getattr(args, other)
-        if value is not None and value is not False:
-            parser.error(f"--{mode} cannot be combined with --{other}".replace("_", "-"))
+def _dest(option: str) -> str:
+    """The namespace attribute of an option as the table spells it."""
+    return option.lstrip("-").replace("-", "_")
 
 
-def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    sc = args.subcommand
-    if sc == "plane":
-        if args.table:
-            _refuse(parser, args, "table", "symbolic", "r", "m")
-            return
-        if args.symbolic:
-            _refuse(parser, args, "symbolic", "m")
-        if args.r is None:
-            parser.error("plane needs --r (or --table)")
-        if not 0 <= args.r <= 8:
-            parser.error("--r must be in 0..8")
-        if not args.symbolic and args.m is None:
-            parser.error("plane needs --m for a numeric count")
-    elif sc == "p4":
-        chosen = sum(bool(x) for x in (args.symbolic, args.lines3, args.irreducible))
-        if chosen > 1:
-            parser.error("choose one of --symbolic, --lines3, --irreducible")
-        if args.m is not None:
-            _refuse(parser, args, "m", "symbolic", "lines3", "irreducible")
-        if chosen == 0 and args.m is None:
-            parser.error("p4 needs --m or one of --symbolic, --lines3, --irreducible")
-    elif sc == "abelian":
-        if args.table:
-            _refuse(parser, args, "table", "r", "g", "fixed_class", "oracle")
-            return
-        if args.fixed_class:
-            _refuse(parser, args, "fixed_class", "oracle", "g")
-        if args.r is None:
-            parser.error("abelian needs --r (or --table)")
-        if not 0 <= args.r <= 8:
-            parser.error("--r must be in 0..8")
-        if args.oracle and args.g is None:
-            parser.error("--oracle needs --g")
-    elif sc == "enriques":
-        if args.action == "enumerate":
-            if args.file is not None:
-                parser.error("enriques enumerate takes no diagram file")
-            if args.max_v is None or args.max_w is None:
-                parser.error("enumerate needs --max-v and --max-w")
-            if not (1 <= args.max_v <= 7 and 1 <= args.max_w <= 6):
-                parser.error("enumeration limits: 1 <= --max-v <= 7, 1 <= --max-w <= 6")
-        else:
-            if args.max_v is not None or args.max_w is not None:
-                parser.error(f"--max-v and --max-w apply only to enumerate, not {args.action}")
-            if args.file is None:
-                parser.error(f"enriques {args.action} needs a diagram file (or -)")
-    elif sc == "validity":
-        need = {
-            "plane": ("r", "m"),
-            "abelian": ("m", "g", "r"),
-            "kva": ("surface", "m", "d", "k"),
-        }[args.predicate]
-        for name in need:
-            if getattr(args, name) is None:
-                parser.error(f"validity {args.predicate} needs --{name}")
-        for name in ("r", "m", "g", "d", "k", "surface"):
-            if name not in need and getattr(args, name) is not None:
-                parser.error(f"validity {args.predicate} cannot be combined with --{name}")
+def _check_args(args: argparse.Namespace) -> str:
+    """The handler name of the one mode ``args`` selects; a usage error otherwise."""
+    modes = MODES[args.subcommand]
+    options = dict.fromkeys(
+        [name for name in modes if name.startswith("-")]
+        + [o for needs, may, _ in modes.values() for o in needs + may]
+    )
+    # identity tests: --r 0 is given, an unset flag is False
+    given = [
+        o for o in options
+        if (value := getattr(args, _dest(o))) is not None and value is not False
+    ]
+    flags = [name for name in modes if name in given]
+    if len(flags) > 1:
+        args.parser.error(f"{flags[0]} cannot be combined with {flags[1]}")
+    mode = flags[0] if flags else getattr(args, "mode", "")
+    needs, may, handler = modes[mode]
+    label = mode if mode.startswith("-") else f"{args.subcommand} {mode}".rstrip()
+    for o in given:
+        if o not in (mode, *needs, *may):
+            args.parser.error(f"{label} cannot be combined with {o}")
+    for o in needs:
+        if o not in given:
+            args.parser.error(f"{label} needs {o}")
+    return handler
 
 
 def run(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(list(argv))
-        _check_args(parser, args)
+        handler = globals()[_check_args(args)]
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
         # records may be lazy, so errors can surface while emitting
-        emit(args.handler(args), args.format, sys.stdout)
+        emit(handler(args), args.format, sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader stopped early (``| head``).  Point stdout at devnull so

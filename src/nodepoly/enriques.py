@@ -325,14 +325,14 @@ def canonical_key(diagram: EnriquesDiagram) -> tuple[TreeKey, ...]:
     return tuple(sorted(subtree(r) for r in diagram.roots()))
 
 
-def _tree(key: TreeKey) -> tuple[Vertex, ...]:
-    """The canonical single-root diagram with this key, numbered from 0."""
+def _tree(key: TreeKey, base: int = 0) -> tuple[Vertex, ...]:
+    """The canonical single-root diagram with this key, numbered from ``base``."""
     verts: list[Vertex] = []
     path: list[int] = []  # ancestors of the vertex being placed, root first
 
     def visit(key: TreeKey, parent: int | None) -> None:
         weight, offset, children = key
-        idx = len(verts)
+        idx = base + len(verts)
         verts.append(Vertex(weight, parent, path[-offset] if offset else None))
         path.append(idx)
         for child in children:
@@ -341,18 +341,6 @@ def _tree(key: TreeKey) -> tuple[Vertex, ...]:
 
     visit(key, None)
     return tuple(verts)
-
-
-def _shift(tree: tuple[Vertex, ...], base: int) -> tuple[Vertex, ...]:
-    """The tree's vertices renumbered to start at ``base``."""
-    return tuple(
-        Vertex(
-            v.weight,
-            None if v.parent is None else v.parent + base,
-            None if v.remote is None else v.remote + base,
-        )
-        for v in tree
-    )
 
 
 def _single_root_catalog(max_vertices: int, max_weight: int) -> list[TreeKey]:
@@ -371,6 +359,8 @@ def _single_root_catalog(max_vertices: int, max_weight: int) -> list[TreeKey]:
     its remote target and takes w from both, so no vertex ever carries
     more proximate weight than its own; a free leaf of weight 1 is skipped.
     """
+    if max_vertices < 1:
+        return []
     caps = [max_weight]
 
     def vertex(room: int, offset: int) -> Iterator[tuple[TreeKey, int]]:
@@ -441,7 +431,7 @@ def enumerate_diagrams(max_vertices: int, max_weight: int) -> Iterator[EnriquesD
     of tree keys), so ``(len(d), canonical_key(d))`` strictly increases.
     Multi-root diagrams are included (a forest is a multiset of its trees).
     Each diagram is built as it is yielded; only the single-root catalog
-    (each tree also renumbered for the positions it takes in a forest) is
+    (each tree also numbered for the positions it takes in a forest) is
     held in memory.  Every yielded diagram passes validate.
 
     Exhaustive at desk scale; the limits are capped at 7 vertices and
@@ -451,18 +441,21 @@ def enumerate_diagrams(max_vertices: int, max_weight: int) -> Iterator[EnriquesD
         raise ValueError(f"max_vertices capped at 7: {max_vertices}")
     if max_weight > 6:
         raise ValueError(f"max_weight capped at 6: {max_weight}")
-    if max_vertices < 1 or max_weight < 1:
-        return
-    trees = [_tree(key) for key in _single_root_catalog(max_vertices, max_weight)]
-    # (tree, index of its root) -> its vertices, renumbered from that index
-    placed = {(i, 0): tree for i, tree in enumerate(trees)}
-    for forest in _forests([len(t) for t in trees], max_vertices):
+    keys = _single_root_catalog(max_vertices, max_weight)
+    # (tree, index of its root) -> its vertices, numbered from that index,
+    # for every index the tree can take in a forest
+    placed: dict[tuple[int, int], tuple[Vertex, ...]] = {}
+    sizes: list[int] = []
+    for i, key in enumerate(keys):
+        keys[i] = None  # free each key once placed, for the placements to reuse its memory
+        placed[i, 0] = tree = _tree(key)
+        sizes.append(len(tree))
+        for offset in range(1, max_vertices - len(tree) + 1):
+            placed[i, offset] = _tree(key, offset)
+    for forest in _forests(sizes, max_vertices):
         verts: tuple[Vertex, ...] = ()
         for i in forest:
-            key = (i, len(verts))
-            if key not in placed:
-                placed[key] = _shift(trees[i], len(verts))
-            verts += placed[key]
+            verts += placed[i, len(verts)]
         yield EnriquesDiagram(verts)
 
 

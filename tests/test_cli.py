@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from nodepoly.cli import EXIT_BROKEN_PIPE, FORMATS, run
 from nodepoly.enriques import named_diagram, to_text
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
 
 #: SHA-256 of ``enriques enumerate --max-v 5 --max-w 4`` per format, recorded
 #: from the enumeration as it stood before forests were streamed.
@@ -28,10 +30,60 @@ ENUMERATE_5_4_SHA256 = {
 }
 
 
+#: Refused commands, each with a fragment of its error message.
+COMBINED = "cannot be combined"
+CONFLICTING = [
+    (["plane", "--table", "--symbolic"], COMBINED),
+    (["plane", "--table", "--r", "3"], COMBINED),
+    (["plane", "--table", "--m", "4"], COMBINED),
+    (["plane", "--table", "--symbolic", "--r", "3", "--m", "4"], COMBINED),
+    (["plane", "--symbolic", "--r", "3", "--m", "4"], COMBINED),
+    (["abelian", "--table", "--r", "0"], COMBINED),
+    (["abelian", "--table", "--g", "3"], COMBINED),
+    (["abelian", "--table", "--fixed-class"], COMBINED),
+    (["abelian", "--table", "--oracle"], COMBINED),
+    (["abelian", "--fixed-class", "--oracle", "--g", "3", "--r", "1"], COMBINED),
+    (["abelian", "--fixed-class", "--r", "1", "--g", "3"], COMBINED),
+    (["p4", "--m", "5", "--symbolic"], COMBINED),
+    (["p4", "--m", "5", "--lines3"], COMBINED),
+    (["p4", "--m", "0", "--irreducible"], COMBINED),
+    (["validity", "plane", "--r", "1", "--m", "3", "--g", "5"], COMBINED),
+    (["validity", "plane", "--r", "1", "--m", "3", "--surface", "k3"], COMBINED),
+    (["validity", "abelian", "--m", "1", "--g", "5", "--r", "3", "--d", "4"], COMBINED),
+    (
+        ["validity", "kva", "--surface", "k3", "--m", "1", "--d", "8", "--k", "0", "--r", "3"],
+        COMBINED,
+    ),
+    (["p4", "--symbolic", "--lines3"], COMBINED),
+    (["abelian", "--oracle", "--r", "1"], "--oracle needs --g"),
+    (["enriques", "enumerate", "--max-v", "0", "--max-w", "2"], "--max-v: invalid choice: 0"),
+]
+
+
 def invoke(capsys, *argv: str) -> tuple[int, str]:
     code = run(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def readme_examples() -> list[list[str]]:
+    """The ``nodecount`` lines of the first ``sh`` block under "## Command line"."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines() if line.startswith("nodecount ")
+    ]
+    assert examples, "no nodecount examples found in README"
+    return examples
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+    def test_example_runs(self, capsys, argv):
+        code, out = invoke(capsys, *argv)
+        assert code == 0
+        assert out.strip()
 
 
 class TestCounts:
@@ -271,33 +323,17 @@ class TestErrors:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["plane", "--table", "--symbolic"],
-            ["plane", "--table", "--r", "3"],
-            ["plane", "--table", "--m", "4"],
-            ["plane", "--table", "--symbolic", "--r", "3", "--m", "4"],
-            ["plane", "--symbolic", "--r", "3", "--m", "4"],
-            ["abelian", "--table", "--r", "0"],
-            ["abelian", "--table", "--g", "3"],
-            ["abelian", "--table", "--fixed-class"],
-            ["abelian", "--table", "--oracle"],
-            ["abelian", "--fixed-class", "--oracle", "--g", "3", "--r", "1"],
-            ["abelian", "--fixed-class", "--r", "1", "--g", "3"],
-            ["p4", "--m", "5", "--symbolic"],
-            ["p4", "--m", "5", "--lines3"],
-            ["p4", "--m", "0", "--irreducible"],
-            ["validity", "plane", "--r", "1", "--m", "3", "--g", "5"],
-            ["validity", "plane", "--r", "1", "--m", "3", "--surface", "k3"],
-            ["validity", "abelian", "--m", "1", "--g", "5", "--r", "3", "--d", "4"],
-            ["validity", "kva", "--surface", "k3", "--m", "1", "--d", "8", "--k", "0", "--r", "3"],
-        ],
+        "argv,message",
+        CONFLICTING,
+        ids=[f"argv{i}" for i in range(len(CONFLICTING))],
     )
-    def test_conflicting_modes(self, capsys, argv):
+    def test_conflicting_modes(self, capsys, argv, message):
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "cannot be combined" in captured.err
+        assert message in captured.err
+        # refused through the subcommand's parser, whose usage lists its flags
+        assert f"usage: nodecount {argv[0]} " in captured.err
 
     @pytest.mark.parametrize(
         "argv,message",

@@ -12,6 +12,7 @@ from nodepoly.enriques import (
     EnriquesDiagram,
     Vertex,
     _proximity,
+    _single_root_catalog,
     canonical_key,
     enumerate_diagrams,
     from_text,
@@ -207,6 +208,11 @@ class TestEnumeration:
             list(enumerate_diagrams(8, 3))
         with pytest.raises(ValueError):
             list(enumerate_diagrams(3, 7))
+
+    @pytest.mark.parametrize("v,w", [(0, 3), (3, 0), (-1, -1), (0, 0)])
+    def test_limits_below_one_are_empty(self, v, w):
+        assert _single_root_catalog(v, w) == []
+        assert list(enumerate_diagrams(v, w)) == []
 
     def test_multi_root_included(self):
         keys = {canonical_key(d) for d in enumerate_diagrams(2, 2)}

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from nodepoly.bell import bell_value
 from nodepoly.exactpoly import Poly, evaluate_in, parse
-from nodepoly.nodegen import CLASS_VARIABLES
+from nodepoly.nodegen import CLASS_VARIABLES, X4, X4_MULTIPLIER
 from nodepoly.surface import (
     _SURFACE,
     _SURFACE_CAP,
@@ -22,6 +23,7 @@ from nodepoly.surface import (
     surface_aq,
 )
 from nodepoly.truncated import Truncated
+from oracles import k3_counts
 
 GOLDEN = Path(__file__).parent / "golden"
 PLANE = ChernNumbers.plane()
@@ -154,6 +156,43 @@ class TestSeveriDegrees:
         assert (info.currsize, info.misses, info.hits) == (9, 9, 18)
         # a caller's Chern numbers key no cache
         assert not hasattr(severi_degree, "cache_info")
+
+
+def k3(g: int, r: int) -> ChernNumbers:
+    """A primitive class on a K3 surface whose r-nodal curves have genus g."""
+    return ChernNumbers.of(2 * g + 2 * r - 2, 0, 0, 24)
+
+
+def pushed_x4(cn: ChernNumbers) -> Poly:
+    """The h^8 coefficient of x4 pushed down through the surface table."""
+    pushed = sum(c * pushforward_monomial(*e, cn) for e, c in X4.terms.items())
+    return pushed.coefficient_of("h", 8)
+
+
+class TestK3Oracle:
+    """Bryan–Leung's K3 counts: an independent route to the universal a_q."""
+
+    @pytest.mark.parametrize("g", range(12))
+    def test_severi_degrees_match(self, g):
+        counts = k3_counts(g, 8)
+        assert [severi_degree(r, k3(g, r)).constant_value() for r in range(9)] == counts
+
+    def test_yau_zaslow(self):
+        assert k3_counts(0, 4) == [1, 24, 324, 3200, 25650]
+
+    def test_x4_multiplier_derived(self):
+        # x4 pushes to 45d + 360 on a K3, never 0, so the r = 8 count is
+        # linear in the multiplier with a nonzero slope: solve for it
+        m = Poly.variable("m")
+        assert pushed_x4(ChernNumbers.of(m, 0, 0, 24)) == 45 * m + 360
+        for g in range(12):
+            cn = k3(g, 8)
+            slope = pushed_x4(cn).constant_value()
+            aq = [surface_aq(q, cn).constant_value() for q in range(1, 9)]
+            aq[7] -= X4_MULTIPLIER * slope  # a_8 of the generator without x4
+            rest = bell_value(8, aq)
+            multiplier = (factorial(8) * k3_counts(g, 8)[8] - rest) / slope
+            assert multiplier == 3281 * factorial(7)
 
 
 class TestValidity:
