@@ -38,6 +38,7 @@ from .nodegen import node_polynomial
 
 FORMATS = ("text", "json", "csv")
 EXIT_BROKEN_PIPE = 141
+_json_line = json.JSONEncoder(sort_keys=True).encode  # as json.dumps(..., sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -56,15 +57,8 @@ def _fmt_inputs(inputs: dict[str, int | str]) -> str:
 def emit(records: Iterable[OutputRecord], fmt: str, out: io.TextIOBase) -> None:
     """Write the records; json and csv stream them, text collects to align columns."""
     if fmt == "json":
-        for r in records:
-            payload = {
-                "command": r.command,
-                "inputs": r.inputs,
-                "result": r.result,
-                "valid": r.valid,
-                "ref": r.ref,
-            }
-            out.write(json.dumps(payload, sort_keys=True) + "\n")
+        for r in records:  # a record's fields are its JSON object's keys
+            out.write(_json_line(vars(r)) + "\n")
         return
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
@@ -177,9 +171,8 @@ def _cmd_abelian_count(args: argparse.Namespace) -> list[OutputRecord]:
 def _cmd_enriques_enumerate(args: argparse.Namespace) -> Iterable[OutputRecord]:
     inputs = {"max-v": args.max_v, "max-w": args.max_w}
     return (
-        OutputRecord("enriques", inputs, enriques.to_text(d).rstrip("\n").replace("\n", "; "),
-                     None, "diagram-enumeration")
-        for d in enriques.enumerate_diagrams(args.max_v, args.max_w)
+        OutputRecord("enriques", inputs, text, None, "diagram-enumeration")
+        for text in enriques.enumeration_text(args.max_v, args.max_w)
     )
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 from .exactpoly import ExactnessError
 
@@ -309,6 +309,8 @@ def named_diagram(kind: str, index: int) -> EnriquesDiagram:
 #: The remote offset counts generations from the vertex up to its remote
 #: target (0 when absent), which is labeling-independent.
 TreeKey = tuple[int, int, tuple]
+#: A placed tree as a forest walk concatenates it: vertices or text.
+Piece = TypeVar("Piece", tuple, str)
 
 
 def canonical_key(diagram: EnriquesDiagram) -> tuple[TreeKey, ...]:
@@ -398,30 +400,47 @@ def _single_root_catalog(max_vertices: int, max_weight: int) -> list[TreeKey]:
     return sorted(key for key, _ in vertex(max_vertices, 0))
 
 
-def _forests(sizes: list[int], max_vertices: int) -> Iterator[tuple[int, ...]]:
-    """Forests as non-decreasing tuples of tree indices, streamed in order.
+def _size(key: TreeKey) -> int:
+    """Vertex count of the tree with this key."""
+    return 1 + sum(map(_size, key[2]))
 
-    By total size first, then lexicographically: for each total the
-    recursion extends a prefix in index order and yields only exact sums.
-    ``fits[room]`` lists the trees of size at most ``room``, so no step
-    looks at a tree that cannot fit.
+
+def _forest_walk(
+    max_vertices: int, max_weight: int, place: Callable[[TreeKey, int], Piece], empty: Piece
+) -> Iterator[Piece]:
+    """Every forest as the concatenation of its placed trees, in order.
+
+    ``place(key, base)`` gives a tree with its root at index ``base``; it is
+    called once for every index a tree can take.  Forests are non-decreasing
+    tuples of catalog indices, by total size first, then lexicographically:
+    each step adds one placed tree to its parent's prefix, so a prefix
+    shared by many forests is built once.  ``fits[room]`` lists the trees of
+    size at most ``room``, so no step looks at a tree that cannot fit.
     """
+    if max_vertices > 7:
+        raise ValueError(f"max_vertices capped at 7: {max_vertices}")
+    if max_weight > 6:
+        raise ValueError(f"max_weight capped at 6: {max_weight}")
+    keys = _single_root_catalog(max_vertices, max_weight)
+    sizes = [_size(key) for key in keys]
+    placed = [
+        [place(key, base) for base in range(max_vertices - size + 1)]
+        for key, size in zip(keys, sizes)
+    ]
     fits = [[i for i, size in enumerate(sizes) if size <= room]
             for room in range(max_vertices + 1)]
-    picked: list[int] = []
 
-    def choose(start: int, room: int) -> Iterator[tuple[int, ...]]:
-        if room == 0:
-            yield tuple(picked)
-            return
+    def extend(prefix: Piece, start: int, used: int, room: int) -> Iterator[Piece]:
         candidates = fits[room]
         for i in candidates[bisect_left(candidates, start):]:
-            picked.append(i)
-            yield from choose(i, room - sizes[i])
-            picked.pop()
+            forest = prefix + placed[i][used]
+            if room == sizes[i]:
+                yield forest
+            else:
+                yield from extend(forest, i, used + sizes[i], room - sizes[i])
 
     for total in range(1, max_vertices + 1):
-        yield from choose(0, total)
+        yield from extend(empty, 0, 0, total)
 
 
 def enumerate_diagrams(max_vertices: int, max_weight: int) -> Iterator[EnriquesDiagram]:
@@ -430,46 +449,46 @@ def enumerate_diagrams(max_vertices: int, max_weight: int) -> Iterator[EnriquesD
     The order is by vertex count, then by canonical key (the sorted tuple
     of tree keys), so ``(len(d), canonical_key(d))`` strictly increases.
     Multi-root diagrams are included (a forest is a multiset of its trees).
-    Each diagram is built as it is yielded; only the single-root catalog
-    (each tree also numbered for the positions it takes in a forest) is
-    held in memory.  Every yielded diagram passes validate.
+    Each diagram is built as it is yielded; only the single-root catalog,
+    each tree numbered for the positions it takes in a forest, is held in
+    memory.  Every yielded diagram passes validate.
 
     Exhaustive at desk scale; the limits are capped at 7 vertices and
     weight 6.  Limits below 1 yield nothing.
     """
-    if max_vertices > 7:
-        raise ValueError(f"max_vertices capped at 7: {max_vertices}")
-    if max_weight > 6:
-        raise ValueError(f"max_weight capped at 6: {max_weight}")
-    keys = _single_root_catalog(max_vertices, max_weight)
-    # (tree, index of its root) -> its vertices, numbered from that index,
-    # for every index the tree can take in a forest
-    placed: dict[tuple[int, int], tuple[Vertex, ...]] = {}
-    sizes: list[int] = []
-    for i, key in enumerate(keys):
-        keys[i] = None  # free each key once placed, for the placements to reuse its memory
-        placed[i, 0] = tree = _tree(key)
-        sizes.append(len(tree))
-        for offset in range(1, max_vertices - len(tree) + 1):
-            placed[i, offset] = _tree(key, offset)
-    for forest in _forests(sizes, max_vertices):
-        verts: tuple[Vertex, ...] = ()
-        for i in forest:
-            verts += placed[i, len(verts)]
-        yield EnriquesDiagram(verts)
+    return map(EnriquesDiagram, _forest_walk(max_vertices, max_weight, _tree, ()))
+
+
+def enumeration_text(max_vertices: int, max_weight: int) -> Iterator[str]:
+    """``to_text`` of each ``enumerate_diagrams`` diagram, lines joined by "; ".
+
+    Each placed tree is formatted once, and forests share their prefixes.
+    """
+    return _forest_walk(max_vertices, max_weight, _text_piece, "")
+
+
+def _text_piece(key: TreeKey, base: int) -> str:
+    """The tree's text lines from ``base``, "; "-joined; a tree placed after
+    another (``base`` > 0) carries the separator in front."""
+    lines = "; ".join(_vertex_lines(_tree(key, base), base))
+    return f"; {lines}" if base else lines
 
 
 # -- text format ------------------------------------------------------------
 
 
+def _vertex_lines(vertices: tuple[Vertex, ...], base: int = 0) -> list[str]:
+    """``id weight parent|- remote|-`` per vertex, ids counted from ``base``."""
+    return [
+        f"{i} {v.weight} {'-' if v.parent is None else v.parent} "
+        f"{'-' if v.remote is None else v.remote}"
+        for i, v in enumerate(vertices, base)
+    ]
+
+
 def to_text(diagram: EnriquesDiagram) -> str:
     """One vertex per line: ``id weight parent|- remote|-``."""
-    lines = []
-    for i, v in enumerate(diagram.vertices):
-        p = "-" if v.parent is None else str(v.parent)
-        r = "-" if v.remote is None else str(v.remote)
-        lines.append(f"{i} {v.weight} {p} {r}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(_vertex_lines(diagram.vertices)) + "\n"
 
 
 def from_text(text: str) -> EnriquesDiagram:

@@ -6,6 +6,10 @@ integer series arithmetic, so agreement is evidence for both.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import product
+from math import comb, prod
+
 from nodepoly.abelian import _series_mul, divisor_sum
 
 
@@ -32,3 +36,83 @@ def k3_counts(g: int, order: int) -> list[int]:
     for _ in range(g):
         series = _series_mul(series, node, order)
     return series
+
+
+def plane_severi_degree(d: int, delta: int) -> int:
+    """N^{d,delta}: plane curves of degree d with delta nodes through
+    d(d+3)/2 - delta general points, by the Caporaso–Harris recursion.
+
+    Caporaso and Harris, "Counting plane curves of any genus", Invent.
+    Math. 131 (1998), count the curves N^{d,delta}(alpha, beta) that meet a
+    fixed line L with contact of order k at alpha_k given points of L and at
+    beta_k further points, through 2d + g - 1 + |beta| general points
+    (g = (d-1)(d-2)/2 - delta).  Moving one general point onto L gives
+
+        N^{d,delta}(alpha, beta) = sum_k k N^{d,delta}(alpha + e_k, beta - e_k)
+            + sum (alpha choose alpha') (beta' choose beta) I^(beta' - beta)
+                  N^{d-1,delta'}(alpha', beta')
+
+    where the first sum runs over the k with beta_k > 0 (a moving contact
+    point becomes the moved point) and the second over the curves that
+    contain L: alpha' <= alpha, beta' >= beta, I alpha' + I beta' = d - 1 and
+    delta - delta' + |beta' - beta| = d - 1, with I alpha = sum k alpha_k and
+    I^beta = prod k^beta_k.  The count asked for is N^{d,delta}(0, d e_1).
+    Curves may be reducible, as the node polynomials count them.
+    """
+    return _caporaso_harris(d, delta, (), (d,))
+
+
+@cache
+def _caporaso_harris(d: int, delta: int, alpha: tuple, beta: tuple) -> int:
+    # alpha[k-1], beta[k-1]: contacts of order k, with no trailing zeros
+    points = 2 * d + (d - 1) * (d - 2) // 2 - delta - 1 + sum(beta)
+    if d == 0:
+        return int(delta == 0)
+    if delta < 0 or points <= 0:  # every nonempty family has a point per component
+        return 0
+    total = 0
+    for k, b in enumerate(beta, start=1):
+        if b:
+            total += k * _caporaso_harris(d, delta, _bump(alpha, k, 1), _bump(beta, k, -1))
+    for sub in product(*(range(a + 1) for a in alpha)):
+        sub_alpha = _trim(sub)
+        room = d - 1 - _weight(sub_alpha) - _weight(beta)
+        if room < 0:
+            continue
+        factor = prod(comb(a, s) for a, s in zip(alpha, sub_alpha))
+        for extra in _partitions(room, room):
+            sub_beta = beta
+            for k in extra:
+                sub_beta = _bump(sub_beta, k, 1)
+            chosen = prod(comb(n, b) for n, b in zip(sub_beta, beta))
+            total += (factor * chosen * prod(extra)
+                      * _caporaso_harris(d - 1, delta - d + 1 + len(extra), sub_alpha, sub_beta))
+    return total
+
+
+def _bump(vector: tuple, k: int, step: int) -> tuple:
+    """``vector`` with ``step`` added at order k."""
+    out = list(vector) + [0] * (k - len(vector))
+    out[k - 1] += step
+    return _trim(out)
+
+
+def _trim(vector) -> tuple:
+    out = list(vector)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _weight(vector: tuple) -> int:
+    return sum(k * n for k, n in enumerate(vector, start=1))
+
+
+def _partitions(n: int, largest: int):
+    """Partitions of n into parts of at most ``largest``, as non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part, *rest)

@@ -28,6 +28,13 @@ ENUMERATE_5_4_SHA256 = {
     "json": "42a722aa55aa56839761639c7b5ecf40d598a7ae28220a24b10535bd7f24cae7",
     "csv": "d7329ba553adce53f40e04457dddf99290148930b6f44bff59147ab97f5dd2d9",
 }
+#: The same for ``--max-v 6 --max-w 5``, recorded before placed trees were
+#: formatted once per position.
+ENUMERATE_6_5_SHA256 = {
+    "text": "9a8505b17c3f483cbfc55297e4999b5f9ca6ae7d571a84a259669396788f20ee",
+    "json": "642d3e362e2485055b7d8c00f6993610e8b963ffa539112c83a860939aa5d8a5",
+    "csv": "840962946d0ae58673ac1328fcb1ad0dd8d69ba5655a309132e8539c8d1e670c",
+}
 
 
 #: Refused commands, each with a fragment of its error message.
@@ -229,12 +236,20 @@ class TestEnriques:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_5_4_SHA256[fmt]
 
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_enumerate_6_5_output_pinned(self, capsys, fmt):
+        code, out = invoke(
+            capsys, "enriques", "enumerate", "--max-v", "6", "--max-w", "5", "--format", fmt
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_6_5_SHA256[fmt]
+
     def test_error_mid_stream_is_reported(self, capsys, monkeypatch):
         def failing(max_v, max_w):
-            yield named_diagram("A", 1)
+            yield "0 2 - -"
             raise AssertionError("exactness check failed")
 
-        monkeypatch.setattr("nodepoly.enriques.enumerate_diagrams", failing)
+        monkeypatch.setattr("nodepoly.enriques.enumeration_text", failing)
         code = run(["enriques", "enumerate", "--max-v", "2", "--max-w", "2",
                     "--format", "json"])
         captured = capsys.readouterr()

@@ -15,6 +15,7 @@ from nodepoly.enriques import (
     _single_root_catalog,
     canonical_key,
     enumerate_diagrams,
+    enumeration_text,
     from_text,
     invariants,
     inequality_report,
@@ -204,15 +205,24 @@ class TestEnumeration:
         assert first == second
 
     def test_limits(self):
-        with pytest.raises(ValueError):
-            list(enumerate_diagrams(8, 3))
-        with pytest.raises(ValueError):
-            list(enumerate_diagrams(3, 7))
+        for enumeration in (enumerate_diagrams, enumeration_text):
+            with pytest.raises(ValueError, match="max_vertices capped at 7"):
+                list(enumeration(8, 3))
+            with pytest.raises(ValueError, match="max_weight capped at 6"):
+                list(enumeration(3, 7))
 
     @pytest.mark.parametrize("v,w", [(0, 3), (3, 0), (-1, -1), (0, 0)])
     def test_limits_below_one_are_empty(self, v, w):
         assert _single_root_catalog(v, w) == []
         assert list(enumerate_diagrams(v, w)) == []
+        assert list(enumeration_text(v, w)) == []
+
+    @pytest.mark.parametrize("v", range(1, 7))
+    def test_text_projection_matches_to_text(self, v):
+        for w in range(1, 7):
+            expected = [to_text(d).rstrip("\n").replace("\n", "; ")
+                        for d in enumerate_diagrams(v, w)]
+            assert list(enumeration_text(v, w)) == expected
 
     def test_multi_root_included(self):
         keys = {canonical_key(d) for d in enumerate_diagrams(2, 2)}

@@ -23,7 +23,7 @@ from nodepoly.surface import (
     surface_aq,
 )
 from nodepoly.truncated import Truncated
-from oracles import k3_counts
+from oracles import k3_counts, plane_severi_degree
 
 GOLDEN = Path(__file__).parent / "golden"
 PLANE = ChernNumbers.plane()
@@ -193,6 +193,32 @@ class TestK3Oracle:
             rest = bell_value(8, aq)
             multiplier = (factorial(8) * k3_counts(g, 8)[8] - rest) / slope
             assert multiplier == 3281 * factorial(7)
+
+
+class TestPlaneOracle:
+    """Caporaso–Harris Severi degrees: an independent route to the plane a_q.
+
+    P_r = a_r + (a polynomial in a_1..a_{r-1}) and each plane a_q is
+    quadratic in m, so agreement at three in-range m per r fixes every
+    plane a_q, by induction on r.
+    """
+
+    @pytest.mark.parametrize("r", range(9))
+    def test_matches_plane_count_in_range(self, r):
+        degrees = [m for m in range(1, 8) if plane_validity(r, m)]
+        assert len(degrees) >= 3
+        for m in degrees:
+            assert plane_severi_degree(m, r) == plane_count(r, m)
+
+    def test_published_values(self):
+        assert plane_severi_degree(3, 1) == 12
+        assert plane_severi_degree(4, 3) == 675
+        assert plane_severi_degree(5, 8) == 26136
+
+    def test_no_cubic_with_eight_nodes(self):
+        # out of range: the polynomial gives 13378635 there
+        assert plane_count(8, 3) == 13378635
+        assert plane_severi_degree(3, 8) == 0
 
 
 class TestValidity:
