@@ -5,8 +5,11 @@ evaluates them through three intersection-theoretic back ends: linear
 systems on a fixed surface (Severi degrees of plane curves), plane curves
 on a threefold in four-space, and curves in a homology class on an abelian
 surface.  A separate combinatorial engine handles Enriques diagrams and
-their invariant inequalities.  All arithmetic is exact.
+their invariant inequalities; ``nodepoly.enriques`` and its names here are
+imported on first access (PEP 562).  All arithmetic is exact.
 """
+
+from importlib import import_module
 
 from .abelian import (
     abelian_aq,
@@ -18,16 +21,6 @@ from .abelian import (
     abelian_validity,
 )
 from .bell import bell_polynomial, bell_value
-from .enriques import (
-    DiagramInvariants,
-    EnriquesDiagram,
-    Vertex,
-    enumerate_diagrams,
-    invariants,
-    inequality_report,
-    named_diagram,
-    validate,
-)
 from .exactpoly import ExactnessError, Homogeneity, Poly, parse
 from .grassmann import (
     grass_aq,
@@ -91,3 +84,16 @@ __all__ = [
     "threefold_validity",
     "validate",
 ]
+
+
+def __getattr__(name: str) -> object:
+    # The names of __all__ not bound above are the enriques ones.  import_module,
+    # because ``from . import enriques`` would call this hook again.
+    if name == "enriques" or name in __all__:
+        enriques = import_module(".enriques", __name__)
+        return enriques if name == "enriques" else getattr(enriques, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, "enriques"})

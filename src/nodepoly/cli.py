@@ -23,26 +23,24 @@ when the reader closes standard output early.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from . import abelian, enriques, grassmann, surface
+from . import abelian, grassmann, surface
 from .exactpoly import ExactnessError
 from .nodegen import node_polynomial
 
+if TYPE_CHECKING:  # imported by the enriques handlers, so other commands start without it
+    from . import enriques
+
 FORMATS = ("text", "json", "csv")
 EXIT_BROKEN_PIPE = 141
-_json_line = json.JSONEncoder(sort_keys=True).encode  # as json.dumps(..., sort_keys=True)
 
 
-@dataclass(frozen=True)
-class OutputRecord:
+class OutputRecord(NamedTuple):
     command: str
     inputs: dict[str, int | str]
     result: int | str
@@ -57,10 +55,13 @@ def _fmt_inputs(inputs: dict[str, int | str]) -> str:
 def emit(records: Iterable[OutputRecord], fmt: str, out: io.TextIOBase) -> None:
     """Write the records; json and csv stream them, text collects to align columns."""
     if fmt == "json":
+        import json
+        line = json.JSONEncoder(sort_keys=True).encode  # as json.dumps(..., sort_keys=True)
         for r in records:  # a record's fields are its JSON object's keys
-            out.write(_json_line(vars(r)) + "\n")
+            out.write(line(r._asdict()) + "\n")
         return
     if fmt == "csv":
+        import csv
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["command", "inputs", "result", "valid", "ref"])
         for r in records:
@@ -169,6 +170,7 @@ def _cmd_abelian_count(args: argparse.Namespace) -> list[OutputRecord]:
 
 
 def _cmd_enriques_enumerate(args: argparse.Namespace) -> Iterable[OutputRecord]:
+    from . import enriques
     inputs = {"max-v": args.max_v, "max-w": args.max_w}
     return (
         OutputRecord("enriques", inputs, text, None, "diagram-enumeration")
@@ -178,6 +180,7 @@ def _cmd_enriques_enumerate(args: argparse.Namespace) -> Iterable[OutputRecord]:
 
 def _diagram_query(args: argparse.Namespace, query: Callable, ref: str) -> list[OutputRecord]:
     """The record of ``query`` on the diagram in ``args.file`` (``-``: standard input)."""
+    from . import enriques
     try:
         if args.file == "-":
             text = sys.stdin.read()
@@ -191,6 +194,7 @@ def _diagram_query(args: argparse.Namespace, query: Callable, ref: str) -> list[
 
 
 def _invariants_text(diagram: enriques.EnriquesDiagram) -> str:
+    from . import enriques
     inv = enriques.invariants(diagram)
     parts = [
         f"roots={inv.roots}", f"free={inv.free_vertices}", f"dim={inv.dim}",
@@ -203,6 +207,7 @@ def _invariants_text(diagram: enriques.EnriquesDiagram) -> str:
 
 
 def _inequalities_text(diagram: enriques.EnriquesDiagram) -> str:
+    from . import enriques
     return " ".join(
         f"{r.part}={'eq' if r.equality else ('holds' if r.holds else 'FAIL')}"
         for r in enriques.inequality_report(diagram)
@@ -210,6 +215,7 @@ def _inequalities_text(diagram: enriques.EnriquesDiagram) -> str:
 
 
 def _cmd_enriques_check(args: argparse.Namespace) -> list[OutputRecord]:
+    from . import enriques
     return _diagram_query(args, lambda d: str(enriques.validate(d) or "ok"), "diagram-check")
 
 

@@ -406,8 +406,9 @@ def _format_fraction(value: Scalar) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+#: A fraction's denominator has a nonzero digit, so "1/0" fails to tokenize.
 _TOKEN = re.compile(
-    r"\s*(?:(?P<sign>[+-])|(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"\s*(?:(?P<sign>[+-])|(?P<number>\d+(?:/0*[1-9]\d*)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<caret>\^)|(?P<star>\*))"
 )
 
@@ -446,37 +447,26 @@ def parse(text: str, variables: Iterable[str] | None = None) -> Poly:
             i += 1
         coeff = Fraction(1)
         exps: dict[str, int] = {}
-        saw_body = False
-        expect_factor = True
-        while i < len(tokens):
-            kind, val = tokens[i]
-            if kind == "number" and expect_factor:
+        while True:  # factor ("*" factor)*: each "*" sits between two factors
+            kind, val = tokens[i] if i < len(tokens) else ("end", "end of text")
+            i += 1
+            if kind == "number":
                 coeff *= Fraction(val)
-                saw_body = True
-                i += 1
-            elif kind == "name" and expect_factor:
-                name = val
+            elif kind == "name":
                 power = 1
-                i += 1
                 if i < len(tokens) and tokens[i][0] == "caret":
-                    i += 1
-                    if i >= len(tokens) or tokens[i][0] != "number":
+                    if i + 1 >= len(tokens) or tokens[i + 1][0] != "number":
                         raise ValueError("expected exponent after '^'")
-                    power = int(tokens[i][1])
-                    i += 1
-                exps[name] = exps.get(name, 0) + power
-                if name not in seen_vars:
-                    seen_vars.append(name)
-                saw_body = True
-            elif kind == "star":
-                expect_factor = True
-                i += 1
-                continue
+                    power = int(tokens[i + 1][1])
+                    i += 2
+                exps[val] = exps.get(val, 0) + power
+                if val not in seen_vars:
+                    seen_vars.append(val)
             else:
+                raise ValueError(f"expected a number or a variable, got {val!r}")
+            if i >= len(tokens) or tokens[i][0] != "star":
                 break
-            expect_factor = False
-        if not saw_body:
-            raise ValueError("empty term in polynomial text")
+            i += 1
         terms.append((sign * coeff, exps))
 
     if text.strip():

@@ -26,9 +26,9 @@ their term counts (3, 9 and 24) against transcription slips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .bell import bell_value
 from .exactpoly import ExactnessError, Poly, parse
@@ -110,8 +110,7 @@ def node_polynomial(q: int) -> Poly:
     return bq
 
 
-@dataclass(frozen=True)
-class NodePolynomialSet:
+class NodePolynomialSet(NamedTuple):
     """The eight node polynomials plus the fixed inputs they were built from."""
 
     polys: tuple[Poly, ...]

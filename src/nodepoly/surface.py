@@ -21,10 +21,10 @@ decide what it means (``plane_validity`` exposes the range test).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .bell import bell_value
 from .exactpoly import ExactnessError, Poly, Scalar, evaluate_in, parse
@@ -56,8 +56,7 @@ def _as_poly(value: Poly | Scalar) -> Poly:
     return Poly.constant(value, _CONTEXT)
 
 
-@dataclass(frozen=True)
-class ChernNumbers:
+class ChernNumbers(NamedTuple):
     """The four surface invariants, as polynomials in the formal parameter m."""
 
     d: Poly

@@ -19,6 +19,7 @@ V = Poly.variable
 C = Poly.constant
 
 VARS = ("v", "w1", "w2")
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def poly_strategy(variables=VARS, max_exp=3, max_terms=4):
@@ -247,6 +248,29 @@ class TestSerialization:
             parse("3*m^2 $ 2")
         with pytest.raises(ValueError):
             parse("m^")
+
+    @pytest.mark.parametrize(
+        "text", ["x**2", "x*", "*x", "x*-y", "x * * y", "2*x^2*", "x + *y", "1/0", "3/00*x"]
+    )
+    def test_parse_rejects_a_star_without_two_factors_and_zero_denominators(self, text):
+        with pytest.raises(ValueError):
+            parse(text, ("x", "y"))
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("x*y", Poly.variable("x") * Poly.variable("y")), ("2 * x*3", 6 * Poly.variable("x")),
+         ("3/10*x", Fraction(3, 10) * Poly.variable("x")), ("2/04", Poly.constant(Fraction(1, 2)))],
+    )
+    def test_parse_products_and_fractions(self, text, expected):
+        assert parse(text, ("x", "y")) == expected.in_context(("x", "y"))
+
+    @pytest.mark.parametrize(
+        "name", ["abelian_table", "node_polynomials", "plane_aq", "threefold_6nodal", "threefold_lines3"]
+    )
+    def test_golden_polynomials_parse_back_to_their_text(self, name):
+        lines = (GOLDEN / f"{name}.txt").read_text().split("\n")
+        for line in filter(None, lines):
+            assert str(parse(line)) == line
 
 
 class TestConstructor:
