@@ -406,85 +406,55 @@ def _format_fraction(value: Scalar) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-#: A fraction's denominator has a nonzero digit, so "1/0" fails to tokenize.
-_TOKEN = re.compile(
-    r"\s*(?:(?P<sign>[+-])|(?P<number>\d+(?:/0*[1-9]\d*)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<caret>\^)|(?P<star>\*))"
+#: One factor of a term: a number ``n`` or ``n/d``, whose denominator has a
+#: nonzero digit so that "1/0" is refused, or a name with an optional ``^k``.
+_FACTOR = re.compile(
+    r"\s*(?:(?P<number>\d+(?:/0*[1-9]\d*)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)(?:\s*\^\s*(?P<power>\d+))?)\s*"
 )
 
 
 def parse(text: str, variables: Iterable[str] | None = None) -> Poly:
     """Parse the canonical text form back into a polynomial.
 
-    When ``variables`` is omitted the context is the variables encountered,
-    in order of first appearance.
+    Terms are separated by runs of signs, and a term is factors joined by
+    ``*``.  When ``variables`` is omitted the context is the variables
+    encountered, in order of first appearance.
     """
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"cannot parse polynomial text at: {text[pos:]!r}")
-            break
-        pos = m.end()
-        for kind in ("sign", "number", "name", "caret", "star"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind, val))
-                break
-
-    terms: list[tuple[Fraction, dict[str, int]]] = []
-    seen_vars: list[str] = []
-    i = 0
-
-    def parse_term() -> None:
-        nonlocal i
-        sign = Fraction(1)
-        while i < len(tokens) and tokens[i][0] == "sign":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        coeff = Fraction(1)
-        exps: dict[str, int] = {}
-        while True:  # factor ("*" factor)*: each "*" sits between two factors
-            kind, val = tokens[i] if i < len(tokens) else ("end", "end of text")
-            i += 1
-            if kind == "number":
-                coeff *= Fraction(val)
-            elif kind == "name":
-                power = 1
-                if i < len(tokens) and tokens[i][0] == "caret":
-                    if i + 1 >= len(tokens) or tokens[i + 1][0] != "number":
-                        raise ValueError("expected exponent after '^'")
-                    power = int(tokens[i + 1][1])
-                    i += 2
-                exps[val] = exps.get(val, 0) + power
-                if val not in seen_vars:
-                    seen_vars.append(val)
+    pieces = re.split(r"([+-])", text)
+    if len(pieces) > 1 and not pieces[-1].strip():
+        raise ValueError(f"polynomial text ends in a sign: {text!r}")
+    parsed: list[tuple[Fraction, dict[str, int]]] = []
+    sign = 1
+    for i, piece in enumerate(pieces):
+        if i % 2:  # a sign; a run of them folds into one
+            sign = -sign if piece == "-" else sign
+            continue
+        if not piece.strip():  # before the first sign or between two signs
+            continue
+        coeff, exps = Fraction(sign), {}
+        for factor in piece.split("*"):
+            m = _FACTOR.fullmatch(factor)
+            if m is None:
+                raise ValueError(f"cannot parse factor {factor!r} of polynomial text {text!r}")
+            if m["number"] is not None:
+                coeff *= Fraction(m["number"])
             else:
-                raise ValueError(f"expected a number or a variable, got {val!r}")
-            if i >= len(tokens) or tokens[i][0] != "star":
-                break
-            i += 1
-        terms.append((sign * coeff, exps))
+                name = m["name"]
+                exps[name] = exps.get(name, 0) + int(m["power"] or 1)
+        parsed.append((coeff, exps))
+        sign = 1
 
-    if text.strip():
-        parse_term()
-        while i < len(tokens):
-            if tokens[i][0] != "sign":
-                raise ValueError(f"expected '+' or '-' between terms, got {tokens[i][1]!r}")
-            parse_term()
-
-    ctx = tuple(variables) if variables is not None else tuple(seen_vars)
-    result = Poly.zero(ctx)
-    for coeff, exps in terms:
+    seen = dict.fromkeys(name for _, exps in parsed for name in exps)
+    ctx = tuple(seen if variables is None else variables)
+    terms: dict[Exponents, Fraction] = {}
+    for coeff, exps in parsed:
         for name in exps:
             if name not in ctx:
                 raise ValueError(f"variable {name!r} not in context {ctx}")
         key = tuple(exps.get(v, 0) for v in ctx)
-        result = result + Poly(ctx, {key: coeff})
-    return result
+        terms[key] = terms.get(key, 0) + coeff
+    return Poly(ctx, terms)
 
 
 def evaluate_in(poly: Poly, values: Mapping[str, Any], one: Any) -> Any:

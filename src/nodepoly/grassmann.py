@@ -7,9 +7,10 @@ polynomials are
 
     v  = m*f        w1 = q1 - 3*f        w2 = q2 - 2*f*q1 + 3*f^2
 
-where f is the pulled-back hyperplane class of P^4 and q1, q2 are the Chern
-classes of the tautological quotient bundle.  On the bundle f^j = 0 for
-j > 4, and integration over the fibers sends
+where f is the pulled-back hyperplane class of P^4 and q1, q2 are c1 and c2
+of S*, the dual of the rank-3 tautological subbundle S of C^5 (not of the
+rank-2 quotient C^5/S).  On the bundle f^j = 0 for j > 4, and integration
+over the fibers sends
 
     f^0, f^1 -> 0      f^2 -> 1      f^3 -> q1      f^4 -> q1^2 - q2
 

@@ -6,8 +6,9 @@ integer series arithmetic, so agreement is evidence for both.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 from math import comb, prod
 
 from nodepoly.abelian import _series_mul, divisor_sum
@@ -36,6 +37,31 @@ def k3_counts(g: int, order: int) -> list[int]:
     for _ in range(g):
         series = _series_mul(series, node, order)
     return series
+
+
+def grassmannian_integral(integrand, k: int, weights=(3, 17, -5, 29, 41)) -> Fraction:
+    """The integral over G(k, n) of a class given by ``integrand(roots)``.
+
+    G(k, n) parametrizes k-dimensional subspaces S of C^n, n = len(weights).
+    ``integrand`` takes the Chern roots of S* at a fixed point and returns
+    the class there as an integer.  By the Bott residue formula (Ellingsrud
+    and Strømme, "Bott's formula and enumerative geometry", J. AMS 9 (1996))
+    a torus acting on C^n with distinct integer weights t fixes the
+    coordinate subspaces S_I, one per k-subset I; there S* has Chern roots
+    -t_i (i in I) and the tangent space Hom(S, C^n/S) has weights
+    t_j - t_i (i in I, j not in I), so
+
+        integral = sum_I integrand(-t_I) / prod (t_j - t_i).
+
+    The sum does not depend on the weights when the integrand has the
+    dimension k(n - k) as its degree.
+    """
+    total = Fraction(0)
+    for subset in combinations(range(len(weights)), k):
+        euler = prod(weights[j] - weights[i] for i in subset
+                     for j in range(len(weights)) if j not in subset)
+        total += Fraction(integrand([-weights[i] for i in subset]), euler)
+    return total
 
 
 def plane_severi_degree(d: int, delta: int) -> int:

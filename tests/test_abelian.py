@@ -21,6 +21,7 @@ from nodepoly.abelian import (
     abelian_validity,
 )
 from nodepoly.exactpoly import Poly, parse
+from nodepoly.surface import ChernNumbers, severi_degree
 from nodepoly.truncated import Truncated
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -151,6 +152,16 @@ class TestFixedClass:
         }
         for r, text in expected.items():
             assert str(fixed_class_count(r)) == text
+
+    @pytest.mark.parametrize("r", range(9))
+    def test_equals_the_surface_count_at_d(self, r):
+        # ties the fiber table (l^2 -> d, l^3 -> 6*C1, l^4 -> 12*(C1^2 - 2*C2))
+        # to the surface table: an abelian surface has K = 0 and c2 = 0, so
+        # k = s = x = 0, and the class has square d = 2g + 2r - 2
+        poly = fixed_class_count(r)
+        for g in range(1, 12):
+            surface = severi_degree(r, ChernNumbers.of(2 * g + 2 * r - 2, 0, 0, 0))
+            assert poly.evaluate({"g": g}) == surface.constant_value()
 
 
 class TestBryanLeungOracle:

@@ -250,16 +250,23 @@ class TestSerialization:
             parse("m^")
 
     @pytest.mark.parametrize(
-        "text", ["x**2", "x*", "*x", "x*-y", "x * * y", "2*x^2*", "x + *y", "1/0", "3/00*x"]
+        "text",
+        ["x**2", "x*", "*x", "x*-y", "x * * y", "2*x^2*", "x + *y", "1/0", "3/00*x",
+         "x +", "-", "x^2^3", "2x", "x y", "x^-1", "1.5", "x^2/3", "2^3", "z"],
     )
     def test_parse_rejects_a_star_without_two_factors_and_zero_denominators(self, text):
+        """Also every other text outside the grammar, and a name outside the context."""
         with pytest.raises(ValueError):
             parse(text, ("x", "y"))
 
     @pytest.mark.parametrize(
         "text, expected",
         [("x*y", Poly.variable("x") * Poly.variable("y")), ("2 * x*3", 6 * Poly.variable("x")),
-         ("3/10*x", Fraction(3, 10) * Poly.variable("x")), ("2/04", Poly.constant(Fraction(1, 2)))],
+         ("3/10*x", Fraction(3, 10) * Poly.variable("x")), ("2/04", Poly.constant(Fraction(1, 2))),
+         ("x + -y", Poly.variable("x") - Poly.variable("y")), ("- - x", Poly.variable("x")),
+         ("+x", Poly.variable("x")), ("x ^ 2", Poly.variable("x") ** 2),
+         ("x*x*2", 2 * Poly.variable("x") ** 2), ("", Poly.zero()), ("  ", Poly.zero()),
+         ("x - x", Poly.zero())],
     )
     def test_parse_products_and_fractions(self, text, expected):
         assert parse(text, ("x", "y")) == expected.in_context(("x", "y"))

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 from nodepoly.exactpoly import Poly, parse
 from nodepoly.grassmann import (
+    DEGREE6_INTEGRALS,
     _FIBER,
     _FIBER_CAP,
     _FIBER_INTEGRALS,
@@ -23,6 +25,7 @@ from nodepoly.grassmann import (
     threefold_validity,
 )
 from nodepoly.truncated import Truncated
+from oracles import grassmannian_integral
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -76,6 +79,17 @@ class TestIntegration:
         q2 = Poly.variable("q2")
         assert grass_integrate((q1 * q1 - q2) ** 2 * q1 * q1) == 1
         assert grass_integrate((q1 * q1 - q2) ** 2 * q2) == 0
+
+    @pytest.mark.parametrize("weights", [(3, 17, -5, 29, 41), (0, 1, 2, 3, 4)])
+    def test_table_is_c1_and_c2_of_the_dual_subbundle(self, weights):
+        # q1, q2 are c1, c2 of S* on G(3, 5), S the rank-3 subbundle; with
+        # the rank-2 quotient C^5/S in their place the table would read 5, 2, 1, 1
+        def c1_c2_power(a, b):
+            return lambda roots: sum(roots) ** a * sum(x * y for x, y in combinations(roots, 2)) ** b
+
+        derived = {(a, b): grassmannian_integral(c1_c2_power(a, b), 3, weights)
+                   for a, b in DEGREE6_INTEGRALS}
+        assert derived == DEGREE6_INTEGRALS
 
     def test_wrong_degree_rejected(self):
         q1 = Poly.variable("q1")

@@ -113,6 +113,17 @@ class TestLazyNamespace:
         assert proc.returncode == 0, proc.stderr
 
 
+def test_no_module_checks_with_assert():
+    """``python -O`` strips ``assert`` statements, so no check in the package is one."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(nodepoly.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 X = parse("v^3 + v*w2", ("v", "w1", "w2"))
 POLY = "Poly(('v', 'w1', 'w2'), v^3 + v*w2)"
 
