@@ -1,13 +1,15 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial carries an ordered tuple of variable names and a term map from
-exponent tuples (one non-negative integer per variable) to nonzero rational
-coefficients.  A coefficient is stored as an ``int`` when it is integral and
-as a ``fractions.Fraction`` otherwise, so every operation is exact and the
-integral polynomials the package is built on cost integer arithmetic only.
-Values (``evaluate``, ``constant_value``) are always ``Fraction``.  This
-module is the arithmetic substrate for the whole package and never touches
-floating point.
+A polynomial carries an ordered tuple of variable names, integer numerators
+keyed by packed monomials, and one positive denominator coprime to them (the
+layout of FLINT's ``fmpq_poly``), so sums and products cost integer
+arithmetic only.  A packed monomial is one ``int`` with a 32-bit slot per
+variable, the first variable most significant; a slot's top bit is a guard,
+so an exponent is at most ``MAX_EXPONENT`` = 2^31 - 1, and a larger one,
+also from a product, raises ``ValueError``.  ``terms`` maps exponent tuples
+to an ``int`` when integral, else to a ``Fraction``; values (``evaluate``,
+``constant_value``) are ``Fraction``.  This module is the arithmetic
+substrate for the whole package and never touches floating point.
 
 Two polynomials over different variable contexts are reconciled by extending
 each to the union context with zero exponents, so ``v + q1`` just works.
@@ -24,7 +26,9 @@ from __future__ import annotations
 import enum
 import re
 from fractions import Fraction
-from operator import add
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -32,6 +36,12 @@ Scalar = int | Fraction
 
 #: Exponent tuple, one entry per context variable.
 Exponents = tuple[int, ...]
+
+_SLOT_BITS = 32
+_SLOT = (1 << _SLOT_BITS) - 1
+
+#: The largest exponent a polynomial holds: a slot without its guard bit.
+MAX_EXPONENT = (1 << (_SLOT_BITS - 1)) - 1
 
 
 class ExactnessError(AssertionError):
@@ -53,7 +63,7 @@ class Homogeneity(enum.Enum):
 
 
 def _exact(value: Scalar) -> Scalar:
-    """The stored form of a coefficient: an ``int`` when integral, else a ``Fraction``."""
+    """An exact scalar as an ``int`` when integral, else as a ``Fraction``."""
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
@@ -61,60 +71,85 @@ def _exact(value: Scalar) -> Scalar:
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
+def _context(variables: Iterable[str]) -> tuple[str, ...]:
+    vs = tuple(variables)
+    if len(set(vs)) != len(vs):
+        raise ValueError(f"duplicate variable in context {vs}")
+    return vs
+
+
+def _shifts(n: int) -> range:
+    """The slot shifts of an n-variable context, first variable most significant."""
+    return range(_SLOT_BITS * (n - 1), -1, -_SLOT_BITS)
+
+
+def _repacked(num: dict[int, int], moves: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """The terms with each kept slot moved from its old shift to its new one."""
+    masks: dict[int, int] = {}  # slots that move by the same offset move together
+    for old, new in moves:
+        masks[new - old] = masks.get(new - old, 0) | _SLOT << old
+    runs = [(mask, max(d, 0), max(-d, 0)) for d, mask in masks.items()]
+    return {sum((k & mask) << left >> right for mask, left, right in runs): c
+            for k, c in num.items()}
+
+
 class Poly:
     """An immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("_variables", "_terms")
+    __slots__ = ("_variables", "_num", "_den")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponents, Scalar]):
-        vs = tuple(variables)
-        if len(set(vs)) != len(vs):
-            raise ValueError(f"duplicate variable in context {vs}")
-        clean: dict[Exponents, Scalar] = {}
+        vs = _context(variables)
+        shifts = _shifts(len(vs))
+        values: dict[int, Scalar] = {}
         for exps, coeff in terms.items():
             exps = tuple(exps)
-            if len(exps) != len(vs) or any(type(e) is not int or e < 0 for e in exps):
-                raise ValueError(f"bad exponent vector {exps} for context {vs}")
+            if len(exps) != len(vs) or any(
+                type(e) is not int or not 0 <= e <= MAX_EXPONENT for e in exps
+            ):
+                raise ValueError(f"bad exponent vector {exps} for context {vs} (0..MAX_EXPONENT)")
             c = _exact(coeff)
-            if c != 0:
-                clean[exps] = c
+            if c:
+                values[sum(e << s for e, s in zip(exps, shifts))] = c
+        # the lcm of reduced denominators is coprime to the scaled numerators
+        den = lcm(*(c.denominator for c in values.values()))
         self._variables = vs
-        self._terms = clean
+        self._num = {k: c.numerator * (den // c.denominator) for k, c in values.items()}
+        self._den = den
 
     @classmethod
-    def _raw(cls, variables: tuple[str, ...], terms: Mapping[Exponents, Scalar]) -> Poly:
-        """A polynomial from terms built out of valid polynomials by this module.
-
-        Trusts the context and the exponent vectors; only drops zero
-        coefficients and stores integral ones as ``int``.
-        """
+    def _new(cls, variables: tuple[str, ...], num: dict[int, int], den: int = 1) -> Poly:
+        """Trusted: nonzero numerators over a positive ``den``, reduced by their common factor."""
+        if den != 1:
+            g = den
+            for c in num.values():
+                g = gcd(g, c)
+                if g == 1:
+                    break
+            else:
+                num = {k: c // g for k, c in num.items()}
+                den //= g
         poly = object.__new__(cls)
-        poly._variables = variables
-        poly._terms = {
-            exps: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-            for exps, c in terms.items()
-            if c
-        }
+        poly._variables, poly._num, poly._den = variables, num, den
         return poly
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, variables: Iterable[str] = ()) -> Poly:
-        return cls(variables, {})
+        return cls._new(_context(variables), {})
 
     @classmethod
     def constant(cls, value: Scalar, variables: Iterable[str] = ()) -> Poly:
-        vs = tuple(variables)
-        return cls(vs, {(0,) * len(vs): value})
+        c = _exact(value)
+        return cls._new(_context(variables), {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, name: str, variables: Iterable[str] | None = None) -> Poly:
-        vs = tuple(variables) if variables is not None else (name,)
+        vs = _context(variables) if variables is not None else (name,)
         if name not in vs:
             raise ValueError(f"variable {name!r} not in context {vs}")
-        exps = tuple(1 if v == name else 0 for v in vs)
-        return cls(vs, {exps: 1})
+        return cls._new(vs, {1 << _shifts(len(vs))[vs.index(name)]: 1})
 
     # -- introspection -----------------------------------------------------
 
@@ -124,30 +159,33 @@ class Poly:
 
     @property
     def terms(self) -> Mapping[Exponents, Scalar]:
-        return MappingProxyType(self._terms)
+        """Exponent tuples to coefficients, built from the packed storage on request."""
+        return MappingProxyType({e: _exact(Fraction(c, self._den)) for e, c in self._unpacked()})
+
+    def _unpacked(self) -> list[tuple[Exponents, int]]:
+        """(exponent tuple, numerator) for each term."""
+        shifts = _shifts(len(self._variables))
+        return [(tuple(k >> s & _SLOT for s in shifts), c) for k, c in self._num.items()]
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def term_count(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial.
 
         Raises ValueError when any variable actually occurs.
         """
-        value = Fraction(0)
-        for exps, coeff in self._terms.items():
-            if any(exps):
-                raise ValueError(f"not a constant polynomial: {self}")
-            value = Fraction(coeff)
-        return value
+        if any(self._num):
+            raise ValueError(f"not a constant polynomial: {self}")
+        return Fraction(self._num.get(0, 0), self._den)
 
     def degree_in(self, var: str) -> int:
         """Largest exponent of ``var``; 0 for the zero polynomial."""
-        i = self._index(var)
-        return max((exps[i] for exps in self._terms), default=0)
+        s = _shifts(len(self._variables))[self._index(var)]
+        return max((k >> s & _SLOT for k in self._num), default=0)
 
     def _index(self, var: str) -> int:
         try:
@@ -166,80 +204,80 @@ class Poly:
         vs = tuple(variables)
         if vs == self._variables:
             return self
-        pos = {v: i for i, v in enumerate(vs)}
-        if len(pos) != len(vs):
-            raise ValueError(f"duplicate variable in context {vs}")
-        out: dict[Exponents, Scalar] = {}
-        for exps, coeff in self._terms.items():
-            new = [0] * len(vs)
-            for v, e in zip(self._variables, exps):
-                if e == 0:
-                    continue
-                if v not in pos:
-                    raise ValueError(f"cannot drop used variable {v!r} from context")
-                new[pos[v]] = e
-            key = tuple(new)
-            out[key] = out.get(key, 0) + coeff
-        return Poly._raw(vs, out)
-
-    @staticmethod
-    def _merged_context(a: Poly, b: Poly) -> tuple[str, ...]:
-        merged = list(a._variables)
-        for v in b._variables:
-            if v not in merged:
-                merged.append(v)
-        return tuple(merged)
+        target = dict(zip(_context(vs), _shifts(len(vs))))
+        moves = []
+        for v, s in zip(self._variables, _shifts(len(self._variables))):
+            if v in target:
+                moves.append((s, target[v]))
+            elif any(k >> s & _SLOT for k in self._num):
+                raise ValueError(f"cannot drop used variable {v!r} from context")
+        return Poly._new(vs, _repacked(self._num, moves), self._den)
 
     def _aligned(self, other: Any) -> tuple[Poly, Poly]:
-        if isinstance(other, (int, Fraction)):
-            vs = self._variables
-            return self, Poly._raw(vs, {(0,) * len(vs): _exact(other)})
         if not isinstance(other, Poly):
+            if isinstance(other, (int, Fraction)):
+                return self, Poly.constant(other, self._variables)
             return NotImplemented, NotImplemented  # type: ignore[return-value]
         if self._variables == other._variables:
             return self, other
-        ctx = Poly._merged_context(self, other)
+        ctx = tuple(dict.fromkeys(self._variables + other._variables))
         return self.in_context(ctx), other.in_context(ctx)
 
     # -- ring arithmetic -----------------------------------------------------
 
-    def __add__(self, other: Any) -> Poly:
+    def _combined(self, other: Any, sign: int) -> Poly:
+        """self + sign*other over the lcm of the denominators."""
         a, b = self._aligned(other)
         if a is NotImplemented:
             return NotImplemented
-        out = dict(a._terms)
-        for exps, coeff in b._terms.items():
-            out[exps] = out.get(exps, 0) + coeff
-        return Poly._raw(a._variables, out)
+        da, db = a._den, b._den
+        den = da if da == db else lcm(da, db)
+        out = dict(a._num) if den == da else {k: c * (den // da) for k, c in a._num.items()}
+        scale = sign * (den // db)
+        get = out.get
+        for k, c in b._num.items():
+            if s := get(k, 0) + c * scale:
+                out[k] = s
+            else:
+                del out[k]
+        return Poly._new(a._variables, out, den)
+
+    def __add__(self, other: Any) -> Poly:
+        return self._combined(other, 1)
 
     def __radd__(self, other: Any) -> Poly:
         return self.__add__(other)
 
     def __sub__(self, other: Any) -> Poly:
-        a, b = self._aligned(other)
-        if a is NotImplemented:
-            return NotImplemented
-        out = dict(a._terms)
-        for exps, coeff in b._terms.items():
-            out[exps] = out.get(exps, 0) - coeff
-        return Poly._raw(a._variables, out)
+        return self._combined(other, -1)
 
     def __rsub__(self, other: Any) -> Poly:
         return (-self).__add__(other)
 
     def __neg__(self) -> Poly:
-        return Poly._raw(self._variables, {e: -c for e, c in self._terms.items()})
+        return Poly._new(self._variables, {k: -c for k, c in self._num.items()}, self._den)
+
+    def _scaled(self, c: Scalar) -> Poly:
+        # an integer scalar leaves the denominator, so an integral result skips the gcd pass
+        num = {k: v * c.numerator for k, v in self._num.items()} if c else {}
+        return Poly._new(self._variables, num, self._den * c.denominator)
 
     def __mul__(self, other: Any) -> Poly:
+        if not isinstance(other, Poly):
+            return self._scaled(other) if isinstance(other, (int, Fraction)) else NotImplemented
         a, b = self._aligned(other)
-        if a is NotImplemented:
-            return NotImplemented
-        out: dict[Exponents, Scalar] = {}
-        for ea, ca in a._terms.items():
-            for eb, cb in b._terms.items():
-                key = tuple(map(add, ea, eb))
-                out[key] = out.get(key, 0) + ca * cb
-        return Poly._raw(a._variables, out)
+        out: dict[int, int] = {}
+        get = out.get
+        right = b._num.items()
+        for ka, ca in a._num.items():
+            for kb, cb in right:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        # 2^(32n) // (2^32 - 1) has a 1 in each of the n slots; shifted, it marks their guards
+        guards = (1 << _SLOT_BITS * len(a._variables)) // _SLOT << _SLOT_BITS - 1
+        if reduce(or_, out, 0) & guards:
+            raise ValueError(f"a product exponent exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+        return Poly._new(a._variables, {k: c for k, c in out.items() if c}, a._den * b._den)
 
     def __rmul__(self, other: Any) -> Poly:
         return self.__mul__(other)
@@ -247,35 +285,34 @@ class Poly:
     def __pow__(self, exponent: int) -> Poly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer: {exponent!r}")
-        result = Poly.constant(1, self._variables)
-        base = self
-        e = exponent
+        result, base, e = Poly.constant(1, self._variables), self, exponent
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __truediv__(self, other: Scalar) -> Poly:
         c = _exact(other)
         if c == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        quotient = {e: Fraction(coeff) / c for e, coeff in self._terms.items()}
-        return Poly._raw(self._variables, quotient)
+        return self._scaled(1 / Fraction(c))
 
     def __eq__(self, other: Any) -> bool:
         a, b = self._aligned(other)
         if a is NotImplemented:
             return NotImplemented
-        return a._terms == b._terms
+        return a._den == b._den and a._num == b._num
 
     def __hash__(self) -> int:
-        used = sorted(
-            (tuple(sorted((v, e) for v, e in zip(self._variables, exps) if e)), coeff)
-            for exps, coeff in self._terms.items()
-        )
-        return hash(tuple(used))
+        if not any(self._num):  # no used variable: hash as the value, like int and Fraction
+            return hash(self.constant_value())
+        vs = self._variables
+        return hash((frozenset(
+            (frozenset((v, e) for v, e in zip(vs, exps) if e), c) for exps, c in self._unpacked()
+        ), self._den))
 
     # -- the operations the rest of the package is built on -----------------
 
@@ -306,35 +343,58 @@ class Poly:
         Returns (quotient, remainder) with self = quotient*divisor + remainder
         and degree_var(remainder) < degree_var(divisor), all exact.
         """
-        ctx = Poly._merged_context(self, divisor)
+        ctx = tuple(dict.fromkeys(self._variables + divisor._variables))
         p = self.in_context(ctx)
         d = divisor.in_context(ctx)
         n = d.degree_in(var)
         if d.coefficient_of(var, n) != Poly.constant(1):
             raise ValueError(f"divisor is not monic in {var!r}: {divisor}")
-        i = ctx.index(var)
+        s = _shifts(len(ctx))[ctx.index(var)]
         quotient = Poly.zero(ctx)
         rem = p
         while not rem.is_zero() and rem.degree_in(var) >= n:
-            k = rem.degree_in(var)
-            lead = rem.coefficient_of(var, k).in_context(ctx)
-            shift = tuple(k - n if j == i else 0 for j in range(len(ctx)))
-            t = lead * Poly._raw(ctx, {shift: 1})
+            k = rem.degree_in(var)  # t: the var^k terms of rem, divided by var^n
+            lead = {key: c for key, c in rem._num.items() if key >> s & _SLOT == k}
+            t = Poly._new(ctx, {key - (n << s): c for key, c in lead.items()}, rem._den)
             quotient = quotient + t
             rem = rem - t * d
         return quotient, rem
 
+    def coefficients_in(self, graded: Sequence[str]) -> dict[Exponents, Poly]:
+        """The coefficients, polynomials in the other variables, of the monomials in ``graded``.
+
+        Keyed by exponent tuples in the order of ``graded``; a variable outside
+        the context has exponent 0.
+        """
+        shift = dict(zip(self._variables, _shifts(len(self._variables))))
+        rest = tuple(v for v in self._variables if v not in graded)
+        moves = list(zip((shift[v] for v in rest), _shifts(len(rest))))
+        picks = [shift.get(v) for v in graded]
+        groups: dict[Exponents, dict[int, int]] = {}
+        for k, c in self._num.items():
+            groups.setdefault(tuple(0 if s is None else k >> s & _SLOT for s in picks), {})[k] = c
+        return {e: Poly._new(rest, _repacked(num, moves), self._den) for e, num in groups.items()}
+
     def coefficient_of(self, var: str, k: int) -> Poly:
         """The polynomial in the remaining variables multiplying var**k."""
         i = self._index(var)
-        rest = tuple(v for v in self._variables if v != var)
-        out: dict[Exponents, Scalar] = {}
-        for exps, coeff in self._terms.items():
-            if exps[i] != k:
-                continue
-            key = tuple(e for j, e in enumerate(exps) if j != i)
-            out[key] = out.get(key, 0) + coeff
-        return Poly._raw(rest, out)
+        s = _shifts(len(self._variables))[i]
+        num = {  # the slots above var's move down one, those below stay
+            (key >> s + _SLOT_BITS << s) | (key & (1 << s) - 1): c
+            for key, c in self._num.items() if key >> s & _SLOT == k
+        }
+        return Poly._new(self._variables[:i] + self._variables[i + 1:], num, self._den)
+
+    def truncated(self, weights: Mapping[str, int], cap: int) -> Poly:
+        """This polynomial without its monomials of weighted degree above ``cap``.
+
+        Only the variables in ``weights`` count towards the degree.
+        """
+        shifts = _shifts(len(self._variables))
+        slots = [(s, weights[v]) for v, s in zip(self._variables, shifts) if v in weights]
+        kept = {k: c for k, c in self._num.items()
+                if sum((k >> s & _SLOT) * w for s, w in slots) <= cap}
+        return self if len(kept) == len(self._num) else Poly._new(self._variables, kept, self._den)
 
     def weighted_degree(self, weights: Mapping[str, int]) -> int | Homogeneity:
         """Common weighted degree of all terms, or a Homogeneity sentinel.
@@ -344,7 +404,7 @@ class Poly:
         compatible with every degree.
         """
         degree: int | Homogeneity = Homogeneity.ZERO
-        for exps in self._terms:
+        for exps, _ in self._unpacked():
             w = 0
             for v, e in zip(self._variables, exps):
                 if e == 0:
@@ -369,21 +429,19 @@ class Poly:
 
     # -- canonical text form -------------------------------------------------
 
-    def _sorted_terms(self) -> list[tuple[Exponents, Scalar]]:
-        # graded lex, highest first: total degree, then exponent vector
-        return sorted(self._terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         pieces: list[str] = []
-        for idx, (exps, coeff) in enumerate(self._sorted_terms()):
+        # graded lex, highest first: total degree, then exponent vector
+        ordered = sorted(self._unpacked(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        for idx, (exps, c) in enumerate(ordered):
             mono = "*".join(
                 v if e == 1 else f"{v}^{e}"
                 for v, e in zip(self._variables, exps)
                 if e
             )
-            mag = abs(coeff)
+            mag = Fraction(abs(c), self._den)
             if not mono:
                 body = _format_fraction(mag)
             elif mag == 1:
@@ -391,9 +449,9 @@ class Poly:
             else:
                 body = f"{_format_fraction(mag)}*{mono}"
             if idx == 0:
-                pieces.append(body if coeff > 0 else f"-{body}")
+                pieces.append(body if c > 0 else f"-{body}")
             else:
-                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(pieces)
 
     def __repr__(self) -> str:
@@ -463,7 +521,7 @@ def evaluate_in(poly: Poly, values: Mapping[str, Any], one: Any) -> Any:
     ``values`` must supply an element for every variable that occurs; the
     elements need + and * (with each other and with Fraction on the left).
     ``one`` is the ring identity; it seeds constant terms, and the zero
-    polynomial evaluates to ``0 * one``.
+    polynomial evaluates to ``0 * one``.  Multiplies by 1/denominator once.
     """
     powers: dict[tuple[str, int], Any] = {}
 
@@ -475,18 +533,23 @@ def evaluate_in(poly: Poly, values: Mapping[str, Any], one: Any) -> Any:
             powers[key] = values[v] if e == 1 else power(v, e // 2) * power(v, e - e // 2)
         return powers[key]
 
+    slots = tuple(zip(poly._variables, _shifts(len(poly._variables))))
     total: Any = None
-    for exps, coeff in poly.terms.items():
+    for key, coeff in poly._num.items():
         term: Any = None
-        for v, e in zip(poly.variables, exps):
+        for v, s in slots:
+            e = key >> s & _SLOT
             if e == 0:
                 continue
             if v not in values:
                 raise KeyError(f"variable {v!r} unassigned")
             factor = power(v, e)
             term = factor if term is None else term * factor
-        term = coeff * one if term is None else coeff * term
+        if term is None:
+            term = coeff * one
+        elif coeff != 1:
+            term = coeff * term
         total = term if total is None else total + term
     if total is None:
         return 0 * one
-    return total
+    return total if poly._den == 1 else Fraction(1, poly._den) * total

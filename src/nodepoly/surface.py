@@ -48,6 +48,7 @@ _SURFACE_INTEGRALS = {
 
 #: The Chern numbers, the a_q and N_r are polynomials in m alone.
 _CONTEXT = ("m",)
+_ONE = Poly.constant(1, _CONTEXT)
 
 
 def _as_poly(value: Poly | Scalar) -> Poly:
@@ -95,11 +96,11 @@ def _universal_aq(q: int) -> Poly:
 
 
 def surface_aq(q: int, cn: ChernNumbers) -> Poly:
-    """The h^q coefficient of the pushforward of b_q; linear in (d, k, s, x)."""
+    """a_q in m: the cached linear form in (d, k, s, x) evaluated at the Chern numbers."""
     if not 1 <= q <= 8:
         raise ValueError(f"q must be in 1..8: {q}")
     point = {"d": cn.d, "k": cn.k, "s": cn.s, "x": cn.x}
-    return _universal_aq(q).substitute(point).in_context(_CONTEXT)
+    return evaluate_in(_universal_aq(q), point, _ONE)
 
 
 def severi_degree(r: int, cn: ChernNumbers | None = None) -> Poly:
@@ -114,7 +115,7 @@ def severi_degree(r: int, cn: ChernNumbers | None = None) -> Poly:
     if cn is None:
         cn = ChernNumbers.plane()
     aq = [surface_aq(q, cn) for q in range(1, r + 1)]
-    return bell_value(r, aq, Poly.constant(1, _CONTEXT)) / factorial(r)
+    return bell_value(r, aq, _ONE) / factorial(r)
 
 
 @lru_cache(maxsize=None)

@@ -29,18 +29,8 @@ class Truncated:
 
     def __init__(self, value: Poly | Scalar, weights: Mapping[str, int], cap: int):
         poly = value if isinstance(value, Poly) else Poly.constant(value)
-        slots = [(i, weights[v]) for i, v in enumerate(poly.variables) if v in weights]
-        if slots:
-            kept = {
-                exps: c
-                for exps, c in poly.terms.items()
-                if sum(exps[i] * w for i, w in slots) <= cap
-            }
-            if len(kept) < poly.term_count():
-                poly = Poly._raw(poly.variables, kept)
-        self.poly = poly
-        self.weights = weights
-        self.cap = cap
+        self.poly = poly.truncated(weights, cap)
+        self.weights, self.cap = weights, cap
 
     def _like(self, poly: Poly) -> Truncated:
         return Truncated(poly, self.weights, self.cap)
@@ -71,15 +61,11 @@ class Truncated:
         ``weights``; a monomial with no key integrates to 0.  The remaining
         variables are carried through unchanged.
         """
-        n = len(self.weights)
         rest = tuple(v for v in self.poly.variables if v not in self.weights)
-        grouped: dict[Exponents, dict[Exponents, Any]] = {}
-        for exps, coeff in self.poly.in_context(tuple(self.weights) + rest).terms.items():
-            if exps[:n] in table:
-                grouped.setdefault(exps[:n], {})[exps[n:]] = coeff
         total = Poly.zero(rest)
-        for key, terms in grouped.items():
-            total = total + Poly._raw(rest, terms) * table[key]
+        for key, part in self.poly.coefficients_in(tuple(self.weights)).items():
+            if key in table:
+                total = total + part * table[key]
         return total
 
 

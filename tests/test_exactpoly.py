@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nodepoly
-from nodepoly.exactpoly import ExactnessError, Homogeneity, Poly, parse
+from nodepoly.exactpoly import MAX_EXPONENT, ExactnessError, Homogeneity, Poly, parse
 
 V = Poly.variable
 C = Poly.constant
@@ -296,7 +296,7 @@ class TestConstructor:
 
 
 class TestCoefficientStorage:
-    """Integral coefficients are stored as ``int``, the others as ``Fraction``."""
+    """``terms`` shows integral coefficients as ``int``, the others as ``Fraction``."""
 
     @pytest.mark.parametrize("q", range(1, 9))
     def test_node_and_abelian_polynomials_are_int(self, q):
@@ -341,3 +341,130 @@ class TestCoefficientStorage:
             assert str(p) == text
             assert all(type(c) is int for c in p.terms.values())
         assert x != 1 and C(1, ("x",)) == 1 and C(1, ("x",)) == Fraction(1)
+        assert hash(C(2)) == hash(2) and hash(C(2, ("x",))) == hash(2)
+        assert hash(Poly.zero()) == hash(0) and hash(C(Fraction(1, 2))) == hash(Fraction(1, 2))
+        assert len({C(2), 2}) == 1
+        assert hash(x) == hash(x.in_context(("y", "x")))
+        assert hash(x * V("y")) == hash(V("y") * x)
+
+    def test_mixed_terms_show_int_where_integral(self):
+        p = V("x") + V("y") / 2
+        assert p.terms == {(1, 0): 1, (0, 1): Fraction(1, 2)}
+        assert type(p.terms[(1, 0)]) is int and type(p.terms[(0, 1)]) is Fraction
+
+    def test_halves_sum_to_int(self):
+        (coeff,) = (V("x") / 2 + V("x") / 2).terms.values()
+        assert type(coeff) is int and coeff == 1
+
+    def test_integer_scalar_reduces_the_denominator(self):
+        p = (V("x") / 6) * 3
+        assert p == V("x") / 2 and str(p) == "1/2*x"
+
+    def test_negative_divisor(self):
+        assert str(V("x") / -3) == "-1/3*x"
+
+
+#: Raw term maps over VARS; zero coefficients occur and must vanish.
+raw_terms = st.dictionaries(
+    st.tuples(*(st.integers(min_value=0, max_value=3),) * 3),
+    st.builds(Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=5)),
+    max_size=4,
+)
+fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+def _clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return _clean(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return _clean(out)
+
+
+def _ref_evaluate(a, point):
+    total = Fraction(0)
+    for e, c in a.items():
+        for value, k in zip(point, e):
+            c *= value**k
+        total += c
+    return total
+
+
+class TestDifferential:
+    """``Poly`` against a reference that keeps terms as a dict of ``Fraction``s."""
+
+    @given(raw_terms, raw_terms, fractions, st.tuples(fractions, fractions, fractions), st.integers(0, 3))
+    def test_operations_match_the_reference(self, raw_a, raw_b, c, point, k):
+        a, b = _clean(raw_a), _clean(raw_b)
+        p, q = Poly(VARS, raw_a), Poly(VARS, raw_b)
+        assert p.terms == a
+        assert (p + q).terms == _ref_add(a, b)
+        assert (p - q).terms == _ref_add(a, b, -1)
+        assert (p * q).terms == _ref_mul(a, b)
+        assert (p * c).terms == (c * p).terms == _clean({e: v * c for e, v in a.items()})
+        if c:
+            assert (p / c).terms == {e: v / c for e, v in a.items()}
+        moved = {(w2, 0, v, w1): x for (v, w1, w2), x in a.items()}
+        assert p.in_context(("w2", "u", "v", "w1")).terms == moved
+        coeff = _clean({(v, w2): x for (v, w1, w2), x in a.items() if w1 == k})
+        assert p.coefficient_of("w1", k).terms == coeff
+        assert p.evaluate(dict(zip(VARS, point))) == _ref_evaluate(a, point)
+
+
+class TestPower:
+    def test_fifth_power_takes_four_products(self, monkeypatch):
+        calls = []
+        product = Poly.__mul__
+
+        def counting(self, other):
+            calls.append(other)
+            return product(self, other)
+
+        p = V("x") + V("y")
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        result = p**5
+        monkeypatch.undo()
+        assert len(calls) == 4
+        assert result == p * p * p * p * p
+
+
+class TestExponentCap:
+    def test_cap_is_the_slot_width(self):
+        assert MAX_EXPONENT == 2**31 - 1
+        assert Poly(("x",), {(MAX_EXPONENT,): 1}).degree_in("x") == MAX_EXPONENT
+
+    def test_exponent_above_the_cap_is_refused(self):
+        with pytest.raises(ValueError):
+            Poly(("x",), {(2**31,): 1})
+        with pytest.raises(ValueError):
+            parse(f"x^{2**31}")
+        with pytest.raises(ValueError):
+            parse(f"x^{2**31 - 1}*x")
+
+    @pytest.mark.parametrize("split", [(2**30, 2**30), (MAX_EXPONENT, 1), (MAX_EXPONENT, MAX_EXPONENT)])
+    def test_product_crossing_the_cap_raises(self, split):
+        a, b = split
+        y = V("y", ("x", "y"))
+        p = Poly(("x", "y"), {(a, 1): 1, (0, 0): 3})
+        q = Poly(("x", "y"), {(b, 0): 2})
+        with pytest.raises(ValueError, match="MAX_EXPONENT"):
+            p * q
+        with pytest.raises(ValueError, match="MAX_EXPONENT"):
+            (y * p) * q
+
+    def test_product_at_the_cap_is_exact(self):
+        p = Poly(("x", "y"), {(2**30, 3): 1}) * Poly(("x", "y"), {(2**30 - 1, 2): 1})
+        assert p.terms == {(MAX_EXPONENT, 5): 1}
+        assert str(p) == f"x^{MAX_EXPONENT}*y^5"
