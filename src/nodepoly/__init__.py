@@ -21,7 +21,7 @@ from .abelian import (
     abelian_validity,
 )
 from .bell import bell_polynomial, bell_value
-from .exactpoly import ExactnessError, Homogeneity, Poly, parse
+from .exactpoly import ExactnessError, Poly, parse
 from .grassmann import (
     grass_aq,
     grass_integrate,
@@ -49,7 +49,6 @@ __all__ = [
     "DiagramInvariants",
     "EnriquesDiagram",
     "ExactnessError",
-    "Homogeneity",
     "NodePolynomialSet",
     "Poly",
     "Truncated",

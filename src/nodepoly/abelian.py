@@ -43,10 +43,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .bell import bell_value
-from .exactpoly import ExactnessError, Poly, evaluate_in, parse
+from .bell import nodal_class
+from .exactpoly import ExactnessError, Poly, integer, parse
 from .nodegen import node_polynomial
-from .truncated import Truncated
+from .truncated import Truncated, pushforward
 
 #: The fiber grading: l^j = 0 for j > 4, and integration over the first
 #: factor, keyed by the exponent of l.
@@ -94,11 +94,10 @@ def abelian_aq(q: int) -> Poly:
     """
     if not 1 <= q <= 8:
         raise ValueError(f"q must be in 1..8: {q}")
-    zero = Truncated(0, _FIBER, _FIBER_CAP)
-    values = {"v": Truncated(parse("l + h"), _FIBER, _FIBER_CAP), "w1": zero, "w2": zero}
-    pushed = evaluate_in(node_polynomial(q), values, Truncated(1, _FIBER, _FIBER_CAP))
-    aq = pushed.integrate(_FIBER_INTEGRALS).in_context(_AQ_CONTEXT)
-    if any(c.denominator != 1 for c in aq.terms.values()):
+    images = {"v": parse("l + h"), "w1": 0, "w2": 0}
+    aq = pushforward(node_polynomial(q), images, _FIBER, _FIBER_CAP, _FIBER_INTEGRALS)
+    aq = aq.in_context(_AQ_CONTEXT)
+    if aq.denominator != 1:
         raise ExactnessError(f"a_{q} picked up a rational coefficient; route bug")
     return aq
 
@@ -113,7 +112,7 @@ def nodal_locus_class(r: int) -> Poly:
     if not 0 <= r <= 8:
         raise ValueError(f"r must be in 0..8: {r}")
     aq = [Truncated(abelian_aq(q), _BASE, _BASE_CAP) for q in range(1, r + 1)]
-    cls = bell_value(r, aq, Truncated(1, _BASE, _BASE_CAP)).poly / factorial(r)
+    cls = nodal_class(aq, Truncated(1, _BASE, _BASE_CAP)).poly
     if not cls.is_weighted_homogeneous(_TOTAL_GRADE, r):
         raise ExactnessError(f"the {r}-nodal class is not pure of total grade {r}")
     return cls
@@ -130,20 +129,14 @@ def _pushed_count(r: int, table: dict) -> Poly:
     return pushed.substitute({"h": 1, "d": 2 * g + 2 * r - 2}).in_context(("g",))
 
 
-def _check_integer_valued(poly: Poly, var: str, count: int) -> None:
-    # integer values at enough consecutive integers pin integrality everywhere
-    for value in range(count):
-        if poly.evaluate({var: value}).denominator != 1:
-            raise ExactnessError(f"{poly} is not integer-valued at {var}={value}")
-
-
 @lru_cache(maxsize=None)
 def abelian_count(r: int) -> Poly:
     """N_{g,r} as a polynomial in g: curves of genus g with r nodes in the
     class, through g general points.  Degree r+1, integer-valued.  Cached
     per r (nine entries at most)."""
     result = _pushed_count(r, _POINT_INTEGRALS)
-    _check_integer_valued(result, "g", r + 3)
+    for g in range(r + 3):  # integer values at enough consecutive integers pin them all
+        integer(result.evaluate({"g": g}), f"the count at r={r}, g={g}")
     return result
 
 
@@ -217,13 +210,7 @@ def bryan_leung_log_coefficients(count: int = 8) -> list[int]:
         sign = Fraction((-1) ** (i + 1), i)
         for j in range(count + 1):
             log[j] += sign * term[j]
-    out = []
-    for rr in range(1, count + 1):
-        value = log[rr] * factorial(rr)
-        if value.denominator != 1:
-            raise ExactnessError(f"log coefficient b_{rr} is not an integer: {value}")
-        out.append(value.numerator)
-    return out
+    return [integer(log[r] * factorial(r), f"log coefficient b_{r}") for r in range(1, count + 1)]
 
 
 def abelian_validity(m: int, g: int, r: int) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 from typing import Any, Sequence
 
 from .exactpoly import Poly, evaluate_in
@@ -63,3 +63,9 @@ def bell_value(n: int, values: Sequence[Any], one: Any = Fraction(1)) -> Any:
     symbolic = bell_polynomial(n)
     assignment = {_symbol(j + 1): values[j] for j in range(n)}
     return evaluate_in(symbolic, assignment, one)
+
+
+def nodal_class(aq: Sequence[Any], one: Any) -> Any:
+    """The r-nodal class P_r(a_1,...,a_r)/r!, with r = len(aq), in the ring of ``one``."""
+    r = len(aq)
+    return bell_value(r, aq, one) * Fraction(1, factorial(r))

@@ -26,11 +26,10 @@ import argparse
 import io
 import os
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from . import abelian, grassmann, surface
-from .exactpoly import ExactnessError
+from .exactpoly import integer
 from .nodegen import node_polynomial
 
 if TYPE_CHECKING:  # imported by the enriques handlers, so other commands start without it
@@ -82,13 +81,6 @@ def emit(records: Iterable[OutputRecord], fmt: str, out: io.TextIOBase) -> None:
         out.write(line.rstrip() + "\n")
 
 
-def _int_result(value: Fraction | int) -> int:
-    value = Fraction(value)
-    if value.denominator != 1:
-        raise ExactnessError(f"expected an integer count, got {value}")
-    return value.numerator
-
-
 def _p4_annotation(m: int) -> str:
     return "in range (m >= 4)" if grassmann.threefold_validity(m) else "outside range (m >= 4)"
 
@@ -115,7 +107,7 @@ def _cmd_plane_symbolic(args: argparse.Namespace) -> list[OutputRecord]:
 
 
 def _cmd_plane_count(args: argparse.Namespace) -> list[OutputRecord]:
-    value = _int_result(surface.plane_count(args.r, args.m))
+    value = integer(surface.plane_count(args.r, args.m), f"the count at r={args.r}, m={args.m}")
     valid = "in range" if surface.plane_validity(args.r, args.m) else "outside range"
     inputs = {"r": args.r, "m": args.m}
     return [OutputRecord("plane", inputs, value, f"{valid} (m >= r/2+1)", "severi-count")]
@@ -165,7 +157,7 @@ def _cmd_abelian_count(args: argparse.Namespace) -> list[OutputRecord]:
     poly = abelian.abelian_count(args.r)
     if args.g is None:
         return [OutputRecord("abelian", {"r": args.r}, str(poly), None, "abelian-count")]
-    value = _int_result(poly.evaluate({"g": args.g}))
+    value = integer(poly.evaluate({"g": args.g}), f"the count at r={args.r}, g={args.g}")
     return [OutputRecord("abelian", {"r": args.r, "g": args.g}, value, None, "abelian-count")]
 
 

@@ -23,14 +23,13 @@ this form back; serialize-then-parse round-trips exactly.
 
 from __future__ import annotations
 
-import enum
 import re
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import or_
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 Scalar = int | Fraction
 
@@ -51,15 +50,12 @@ class ExactnessError(AssertionError):
     """
 
 
-class Homogeneity(enum.Enum):
-    """Special weighted-degree results.
-
-    ZERO marks the zero polynomial, which is vacuously homogeneous of every
-    degree; MIXED marks a polynomial whose terms have differing weights.
-    """
-
-    ZERO = "zero"
-    MIXED = "inhomogeneous"
+def integer(value: Scalar, what: str) -> int:
+    """``value`` as an ``int``; raises ExactnessError, naming ``what``, if it is not one."""
+    value = Fraction(value)
+    if value.denominator != 1:
+        raise ExactnessError(f"{what} is not an integer: {value}")
+    return value.numerator
 
 
 def _exact(value: Scalar) -> Scalar:
@@ -156,6 +152,11 @@ class Poly:
     @property
     def variables(self) -> tuple[str, ...]:
         return self._variables
+
+    @property
+    def denominator(self) -> int:
+        """The positive common denominator of the coefficients; 1 when all are integers."""
+        return self._den
 
     @property
     def terms(self) -> Mapping[Exponents, Scalar]:
@@ -285,14 +286,14 @@ class Poly:
     def __pow__(self, exponent: int) -> Poly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer: {exponent!r}")
-        result, base, e = Poly.constant(1, self._variables), self, exponent
+        result, base, e = None, self, exponent
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base
-        return result
+        return Poly.constant(1, self._variables) if result is None else result
 
     def __truediv__(self, other: Scalar) -> Poly:
         c = _exact(other)
@@ -377,50 +378,34 @@ class Poly:
 
     def coefficient_of(self, var: str, k: int) -> Poly:
         """The polynomial in the remaining variables multiplying var**k."""
-        i = self._index(var)
-        s = _shifts(len(self._variables))[i]
-        num = {  # the slots above var's move down one, those below stay
-            (key >> s + _SLOT_BITS << s) | (key & (1 << s) - 1): c
-            for key, c in self._num.items() if key >> s & _SLOT == k
-        }
-        return Poly._new(self._variables[:i] + self._variables[i + 1:], num, self._den)
+        self._index(var)  # a KeyError for a variable outside the context
+        rest = tuple(v for v in self._variables if v != var)
+        return self.coefficients_in((var,)).get((k,), Poly.zero(rest))
+
+    def _degrees(self, weights: Mapping[str, int]) -> Iterator[int]:
+        """The weighted degree of each term, in storage order; unweighted variables count 0."""
+        shifts = _shifts(len(self._variables))
+        slots = [(s, weights[v]) for v, s in zip(self._variables, shifts) if v in weights]
+        return (sum((k >> s & _SLOT) * w for s, w in slots) for k in self._num)
 
     def truncated(self, weights: Mapping[str, int], cap: int) -> Poly:
         """This polynomial without its monomials of weighted degree above ``cap``.
 
         Only the variables in ``weights`` count towards the degree.
         """
-        shifts = _shifts(len(self._variables))
-        slots = [(s, weights[v]) for v, s in zip(self._variables, shifts) if v in weights]
-        kept = {k: c for k, c in self._num.items()
-                if sum((k >> s & _SLOT) * w for s, w in slots) <= cap}
+        kept = {k: c for (k, c), d in zip(self._num.items(), self._degrees(weights)) if d <= cap}
         return self if len(kept) == len(self._num) else Poly._new(self._variables, kept, self._den)
 
-    def weighted_degree(self, weights: Mapping[str, int]) -> int | Homogeneity:
-        """Common weighted degree of all terms, or a Homogeneity sentinel.
-
-        Every variable occurring with nonzero exponent needs a positive
-        weight.  The zero polynomial reports Homogeneity.ZERO, which is
-        compatible with every degree.
-        """
-        degree: int | Homogeneity = Homogeneity.ZERO
-        for exps, _ in self._unpacked():
-            w = 0
-            for v, e in zip(self._variables, exps):
-                if e == 0:
-                    continue
-                if v not in weights:
-                    raise KeyError(f"no weight given for variable {v!r}")
-                w += weights[v] * e
-            if degree is Homogeneity.ZERO:
-                degree = w
-            elif degree != w:
-                return Homogeneity.MIXED
-        return degree
-
     def is_weighted_homogeneous(self, weights: Mapping[str, int], degree: int) -> bool:
-        d = self.weighted_degree(weights)
-        return d == Homogeneity.ZERO or d == degree
+        """Whether every term has weighted degree ``degree``; the zero polynomial has every degree.
+
+        Every variable occurring with nonzero exponent needs a weight.
+        """
+        used = reduce(or_, self._num, 0)
+        for v, s in zip(self._variables, _shifts(len(self._variables))):
+            if v not in weights and used >> s & _SLOT:
+                raise KeyError(f"no weight given for variable {v!r}")
+        return all(d == degree for d in self._degrees(weights))
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a point; every occurring variable must be assigned."""

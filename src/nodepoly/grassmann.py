@@ -34,12 +34,11 @@ of the same machinery).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
 
-from .bell import bell_value
-from .exactpoly import ExactnessError, Poly, Scalar, evaluate_in, parse
+from .bell import nodal_class
+from .exactpoly import Poly, integer, parse
 from .nodegen import node_polynomial
-from .truncated import Truncated
+from .truncated import Truncated, pushforward
 
 #: The fiber grading: f^j = 0 for j > 4 on the tautological plane bundle.
 _FIBER = {"f": 1}
@@ -62,17 +61,16 @@ DEGREE6_INTEGRALS = {(6, 0): 5, (4, 1): 3, (2, 2): 2, (0, 3): 1}
 SMOOTH_CONICS_ON_QUINTIC = 609250
 LINES_ON_QUINTIC = 2875
 
-
-def _fiber(value: Poly | Scalar) -> Truncated:
-    return Truncated(value, _FIBER, _FIBER_CAP)
+#: Classes on the Grassmannian are polynomials in q1, q2 and the degree m.
+_CONTEXT = ("q1", "q2", "m")
+_ONE = Poly.constant(1, _CONTEXT)
 
 
 def _aq_for(v: Poly, q: int) -> Poly:
     """Push b_q at v and the tautological w1, w2 down to the Grassmannian."""
-    f, q1, q2 = (_fiber(Poly.variable(name)) for name in ("f", "q1", "q2"))
-    values = {"v": _fiber(v), "w1": q1 - 3 * f, "w2": q2 - 2 * f * q1 + 3 * f * f}
-    pushed = evaluate_in(node_polynomial(q), values, _fiber(1))
-    return pushed.integrate(_FIBER_INTEGRALS).in_context(("q1", "q2", "m"))
+    images = {"v": v, "w1": parse("q1 - 3*f"), "w2": parse("q2 - 2*f*q1 + 3*f^2")}
+    pushed = pushforward(node_polynomial(q), images, _FIBER, _FIBER_CAP, _FIBER_INTEGRALS)
+    return pushed.in_context(_CONTEXT)
 
 
 @lru_cache(maxsize=None)
@@ -94,12 +92,9 @@ def grass_integrate(cls: Poly) -> Poly:
     then exactly the four of the integral table.  Coefficients may involve
     m; the result is a polynomial in m (possibly constant).
     """
-    cls = cls.in_context(("q1", "q2", "m"))
-    for e1, e2, _ in cls.terms:
-        if e1 + 2 * e2 != 6:
-            raise ValueError(
-                f"not a degree-6 class: monomial q1^{e1}*q2^{e2} has degree {e1 + 2 * e2}"
-            )
+    cls = cls.in_context(_CONTEXT)
+    if not cls.is_weighted_homogeneous({**_BASE, "m": 0}, 6):
+        raise ValueError(f"not a degree-6 class in q1 (degree 1) and q2 (degree 2): {cls}")
     return Truncated(cls, _BASE, 6).integrate(DEGREE6_INTEGRALS)
 
 
@@ -109,9 +104,7 @@ def threefold_6nodal_symbolic() -> Poly:
 
     A polynomial of degree 18 in m; the count is valid for m >= 4.
     """
-    aq = [grass_aq(q) for q in range(1, 7)]
-    cls = bell_value(6, aq, Poly.constant(1, ("m",))) / factorial(6)
-    return grass_integrate(cls)
+    return grass_integrate(nodal_class([grass_aq(q) for q in range(1, 7)], _ONE))
 
 
 def threefold_validity(m: int) -> bool:
@@ -121,20 +114,15 @@ def threefold_validity(m: int) -> bool:
 
 def threefold_6nodal(m: int) -> int:
     """Value of the 6-nodal count at integer degree m."""
-    value = threefold_6nodal_symbolic().evaluate({"m": m})
-    if value.denominator != 1:
-        raise ExactnessError(f"6-nodal count at m={m} is not an integer: {value}")
-    return value.numerator
+    return integer(threefold_6nodal_symbolic().evaluate({"m": m}), f"the 6-nodal count at m={m}")
 
 
 @lru_cache(maxsize=None)
 def threefold_3nodal_lines() -> Poly:
     """3-nodal plane curves on a degree-m threefold whose plane meets three
     general lines; each line imposes the special Schubert class q1."""
-    aq = [grass_aq(q) for q in range(1, 4)]
-    cls = bell_value(3, aq, Poly.constant(1, ("m",))) / factorial(3)
-    q1 = Poly.variable("q1")
-    return grass_integrate(cls * q1**3)
+    cls = nodal_class([grass_aq(q) for q in range(1, 4)], _ONE)
+    return grass_integrate(cls * Poly.variable("q1") ** 3)
 
 
 @lru_cache(maxsize=None)
@@ -144,19 +132,13 @@ def line_restricted_multiplier() -> int:
     Restrict the family to the Schubert variety of planes through a fixed
     line; the residual quartic family has divisor class v' = 4*f + q1 and
     the same w1, w2.  Classes on the restriction are integrated through the
-    ambient Grassmannian against the Schubert class (q1^2 - q2)^2, and the
-    two-node formula contributes with a factor 1/2.
+    ambient Grassmannian against the Schubert class (q1^2 - q2)^2 times the
+    two-nodal class.
     """
-    v_line = 4 * Poly.variable("f") + Poly.variable("q1")
-    a1 = _aq_for(v_line, 1)
-    a2 = _aq_for(v_line, 2)
-    q1p = Poly.variable("q1")
-    q2p = Poly.variable("q2")
-    schubert = (q1p * q1p - q2p) ** 2
-    value = grass_integrate(schubert * (a1 * a1 + a2)).constant_value() / 2
-    if value.denominator != 1:
-        raise ExactnessError(f"line multiplier is not an integer: {value}")
-    return value.numerator
+    v_line = parse("4*f + q1")
+    cls = nodal_class([_aq_for(v_line, q) for q in (1, 2)], _ONE)
+    schubert = parse("q1^2 - q2") ** 2
+    return integer(grass_integrate(schubert * cls).constant_value(), "the line multiplier")
 
 
 def quintic_irreducible() -> int:

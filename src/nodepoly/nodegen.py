@@ -105,7 +105,7 @@ def node_polynomial(q: int) -> Poly:
         bq = bq + X4_MULTIPLIER * X4
     if not bq.is_weighted_homogeneous(CLASS_WEIGHTS, q + 2):
         raise ExactnessError(f"b_{q} is not weighted homogeneous of degree {q + 2}; generator bug")
-    if any(c.denominator != 1 for c in bq.terms.values()):
+    if bq.denominator != 1:
         raise ExactnessError(f"b_{q} has a non-integer coefficient; generator bug")
     return bq
 

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 from typing import NamedTuple
 
-from .bell import bell_value
+from .bell import nodal_class
 from .exactpoly import ExactnessError, Poly, Scalar, evaluate_in, parse
 from .nodegen import node_polynomial
-from .truncated import Truncated
+from .truncated import pushforward
 
 #: The surface grading: c and K have degree 1, the point class X degree 2,
 #: and everything above surface degree 2 vanishes.
@@ -85,10 +84,8 @@ def _universal_aq(q: int) -> Poly:
     b_q is evaluated at v = c + h, w1 = K, w2 = X modulo surface degree 3
     and integrated over the surface; every surviving monomial lands in h^q.
     """
-    images = {"v": "c + h", "w1": "K", "w2": "X"}
-    values = {w: Truncated(parse(t), _SURFACE, _SURFACE_CAP) for w, t in images.items()}
-    pushed = evaluate_in(node_polynomial(q), values, Truncated(1, _SURFACE, _SURFACE_CAP))
-    total = pushed.integrate(_SURFACE_INTEGRALS)
+    images = {"v": parse("c + h"), "w1": parse("K"), "w2": parse("X")}
+    total = pushforward(node_polynomial(q), images, _SURFACE, _SURFACE_CAP, _SURFACE_INTEGRALS)
     form = total.coefficient_of("h", q)
     if total != form * Poly.variable("h") ** q:
         raise ExactnessError(f"pushforward of b_{q} is not concentrated in h^{q}")
@@ -114,8 +111,7 @@ def severi_degree(r: int, cn: ChernNumbers | None = None) -> Poly:
         raise ValueError(f"r must be in 0..8: {r}")
     if cn is None:
         cn = ChernNumbers.plane()
-    aq = [surface_aq(q, cn) for q in range(1, r + 1)]
-    return bell_value(r, aq, _ONE) / factorial(r)
+    return nodal_class([surface_aq(q, cn) for q in range(1, r + 1)], _ONE)
 
 
 @lru_cache(maxsize=None)

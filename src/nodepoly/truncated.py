@@ -7,14 +7,14 @@ surface degree above 2 on a fixed surface, ...), then integrates: each
 monomial in the graded variables goes through a table of integrals, and the
 other variables ride along as coefficients.  A ``Truncated`` is one such
 class; the weights and the cap travel with it, so a back end is just data:
-its images and its table.
+its images and its table, which ``pushforward`` takes.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
 
-from .exactpoly import Exponents, Poly, Scalar
+from .exactpoly import Exponents, Poly, Scalar, evaluate_in
 
 
 class Truncated:
@@ -71,3 +71,16 @@ class Truncated:
 
 def _poly(value: Any) -> Any:
     return value.poly if isinstance(value, Truncated) else value
+
+
+def pushforward(
+    poly: Poly,
+    images: Mapping[str, Poly | Scalar],
+    weights: Mapping[str, int],
+    cap: int,
+    table: Mapping[Exponents, Poly | Scalar],
+) -> Poly:
+    """``poly`` evaluated at ``images`` modulo the monomials above ``cap``, then
+    integrated through ``table``: the pushforward of one back end."""
+    values = {v: Truncated(image, weights, cap) for v, image in images.items()}
+    return evaluate_in(poly, values, Truncated(1, weights, cap)).integrate(table)

@@ -1,7 +1,9 @@
 """Independent routes to published curve counts, used by the test suite.
 
-These share no code with the node-polynomial route under test beyond exact
-integer series arithmetic, so agreement is evidence for both.
+This module is stdlib only: it imports nothing from ``nodepoly``, so it
+shares no code with the routes under test, and agreement is evidence for
+both.  A route that needs the node polynomials b_q takes an evaluator for
+them as an argument.
 """
 
 from __future__ import annotations
@@ -9,9 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from math import comb, prod
-
-from nodepoly.abelian import _series_mul, divisor_sum
+from math import comb, factorial, prod
 
 
 def k3_counts(g: int, order: int) -> list[int]:
@@ -33,9 +33,9 @@ def k3_counts(g: int, order: int) -> list[int]:
         for _ in range(24):
             for i in range(m, order + 1):
                 series[i] += series[i - m]
-    node = [k * divisor_sum(k) for k in range(1, order + 2)]
+    node = [k * sum(d for d in range(1, k + 1) if k % d == 0) for k in range(1, order + 2)]
     for _ in range(g):
-        series = _series_mul(series, node, order)
+        series = [sum(series[i] * node[n - i] for i in range(n + 1)) for n in range(order + 1)]
     return series
 
 
@@ -44,9 +44,10 @@ def grassmannian_integral(integrand, k: int, weights=(3, 17, -5, 29, 41)) -> Fra
 
     G(k, n) parametrizes k-dimensional subspaces S of C^n, n = len(weights).
     ``integrand`` takes the Chern roots of S* at a fixed point and returns
-    the class there as an integer.  By the Bott residue formula (Ellingsrud
-    and Strømme, "Bott's formula and enumerative geometry", J. AMS 9 (1996))
-    a torus acting on C^n with distinct integer weights t fixes the
+    the class there as an integer or a ``Fraction``.  By the Bott residue
+    formula (Ellingsrud and Strømme, "Bott's formula and enumerative
+    geometry", J. AMS 9 (1996)) a torus acting on C^n with distinct integer
+    weights t fixes the
     coordinate subspaces S_I, one per k-subset I; there S* has Chern roots
     -t_i (i in I) and the tangent space Hom(S, C^n/S) has weights
     t_j - t_i (i in I, j not in I), so
@@ -62,6 +63,44 @@ def grassmannian_integral(integrand, k: int, weights=(3, 17, -5, 29, 41)) -> Fra
                      for j in range(len(weights)) if j not in subset)
         total += Fraction(integrand([-weights[i] for i in subset]), euler)
     return total
+
+
+def plane_bundle_class(bq, r: int, m: int):
+    """The integrand, for ``grassmannian_integral`` over G(3, 5), of the
+    r-nodal plane curves on a degree-m threefold in P^4.
+
+    ``bq(q, v, w1, w2)`` is the value of the node polynomial b_q.  The family
+    is the plane bundle P(S) over G(3, 5).  At a fixed point S_I, with Chern
+    roots rho_i = -t_i of S*, the fiber P(S_I) has the fixed points e_i
+    (i in I); there the hyperplane class is f = rho_i, the relative
+    cotangent bundle has the weights rho_j - rho_i (j in I, j != i), whose sum
+    and product are w1 and w2, and the relative tangent bundle has their
+    negatives.  Localizing on the fiber,
+
+        a_q = sum_i b_q(m*f, w1, w2) / prod_j (rho_i - rho_j),
+
+    and the class is P_r(a_1, ..., a_r)/r!.  This route uses neither the
+    back end's fiber table, its degree-6 table nor its images of w1, w2.
+    """
+    def integrand(roots):
+        aq = [Fraction(0)] * r
+        for i, f in enumerate(roots):
+            cotangent = [rho - f for j, rho in enumerate(roots) if j != i]
+            w1, w2 = sum(cotangent), prod(cotangent)
+            tangent = prod(-x for x in cotangent)
+            for q in range(1, r + 1):
+                aq[q - 1] += Fraction(bq(q, m * f, w1, w2), tangent)
+        return complete_bell(aq) / factorial(r)
+
+    return integrand
+
+
+def complete_bell(a) -> Fraction:
+    """P_n(a_1, ..., a_n), n = len(a), by P_{k+1} = sum_j C(k, j) a_{j+1} P_{k-j}."""
+    p = [Fraction(1)]
+    for k in range(len(a)):
+        p.append(sum(comb(k, j) * a[j] * p[k - j] for j in range(k + 1)))
+    return p[-1]
 
 
 def plane_severi_degree(d: int, delta: int) -> int:

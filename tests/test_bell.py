@@ -7,8 +7,9 @@ from math import comb, factorial
 
 import pytest
 
-from nodepoly.bell import MAX_ORDER, bell_polynomial, bell_value
+from nodepoly.bell import MAX_ORDER, bell_polynomial, bell_value, nodal_class
 from nodepoly.exactpoly import Poly, parse
+from nodepoly.truncated import Truncated
 
 
 def series_exponentiation(n: int) -> Poly:
@@ -106,3 +107,26 @@ class TestEvaluation:
             )
         for n in range(9):
             assert bell_value(n, values) == direct[n]
+
+
+class TestNodalClass:
+    def test_plane_counts(self):
+        assert nodal_class([Fraction(a) for a in PLANE_AQ_AT_1], Fraction(1)) == 75
+        assert nodal_class([Fraction(a) for a in PLANE_AQ_AT_2], Fraction(1)) == -32
+
+    def test_two_nodes(self):
+        a1, a2 = parse("3*m + 1"), parse("m^2 - 2")
+        one = Poly.constant(1, ("m",))
+        assert nodal_class([a1, a2], one) == (a1 * a1 + a2) / 2
+
+    def test_no_nodes_is_one(self):
+        one = Poly.constant(1, ("m",))
+        assert nodal_class([], one) == one
+
+    def test_truncated_ring(self):
+        # the class of truncated arguments is the truncation of the class
+        aq = [parse("x + 2*y"), parse("x^2 - y"), parse("x*y + 3")]
+        weights, cap = {"x": 1}, 2
+        one = Truncated(1, weights, cap)
+        truncated = nodal_class([Truncated(a, weights, cap) for a in aq], one)
+        assert truncated.poly == nodal_class(aq, Poly.constant(1)).truncated(weights, cap)

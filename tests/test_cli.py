@@ -10,6 +10,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -256,6 +257,13 @@ class TestEnriques:
         assert code == 1
         assert json.loads(captured.out)["result"] == "0 2 - -"
         assert captured.err == "nodecount: error: exactness check failed\n"
+
+    def test_fractional_count_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("nodepoly.surface.plane_count", lambda r, m: Fraction(3, 2))
+        code = run(["plane", "--r", "2", "--m", "3"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "nodecount: error: the count at r=2, m=3 is not an integer: 3/2\n"
 
     def test_closed_pipe_exits_quietly(self):
         # the output (1.6 MB) outgrows the pipe buffer, so the writer sees

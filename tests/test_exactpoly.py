@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nodepoly
-from nodepoly.exactpoly import MAX_EXPONENT, ExactnessError, Homogeneity, Poly, parse
+from nodepoly.exactpoly import MAX_EXPONENT, ExactnessError, Poly, integer, parse
 
 V = Poly.variable
 C = Poly.constant
@@ -155,6 +155,14 @@ class TestCoefficientOf:
         x2 = parse("v^3 + v^2*w1 + v*w2", VARS)
         assert x2.in_context(VARS + ("e",)).coefficient_of("e", 1) == Poly.zero()
 
+    def test_absent_power_keeps_the_remaining_context(self):
+        p = parse("7*v*e^2", ("v", "w1", "e"))
+        assert p.coefficient_of("e", 5).variables == ("v", "w1")
+
+    def test_variable_outside_the_context_raises(self):
+        with pytest.raises(KeyError, match="e"):
+            parse("v^3 + v*w2", VARS).coefficient_of("e", 0)
+
     @given(poly_strategy(("e", "w1"), max_exp=3), st.integers(0, 3))
     def test_recompose(self, p, k):
         e = V("e")
@@ -170,17 +178,44 @@ class TestWeightedDegree:
 
     def test_x2_weight(self):
         x2 = parse("v^3 + v^2*w1 + v*w2", VARS)
-        assert x2.weighted_degree(self.WEIGHTS) == 3
+        assert x2.is_weighted_homogeneous(self.WEIGHTS, 3)
+        assert not x2.is_weighted_homogeneous(self.WEIGHTS, 4)
 
     def test_inhomogeneous(self):
         p = parse("v + w2", ("v", "w2"))
-        assert p.weighted_degree({"v": 1, "w2": 2}) is Homogeneity.MIXED
+        assert not any(p.is_weighted_homogeneous({"v": 1, "w2": 2}, d) for d in range(6))
 
-    def test_zero_sentinel(self):
+    def test_zero_has_every_degree(self):
         z = Poly.zero(VARS)
-        assert z.weighted_degree(self.WEIGHTS) is Homogeneity.ZERO
-        assert z.is_weighted_homogeneous(self.WEIGHTS, 5)
-        assert z.is_weighted_homogeneous(self.WEIGHTS, 0)
+        assert all(z.is_weighted_homogeneous(self.WEIGHTS, d) for d in range(6))
+
+    def test_unweighted_used_variable_raises(self):
+        with pytest.raises(KeyError, match="w2"):
+            parse("v^2 + w2", VARS).is_weighted_homogeneous({"v": 1, "w1": 1}, 2)
+
+    def test_unweighted_unused_variable_is_ignored(self):
+        assert parse("v^2 + v*w1", VARS).is_weighted_homogeneous({"v": 1, "w1": 1}, 2)
+
+
+class TestDenominator:
+    def test_common_denominator(self):
+        assert (V("x") / 6).denominator == 6
+        assert parse("1/2*x + 1/3*y").denominator == 6
+
+    def test_integral_polynomials_have_denominator_one(self):
+        assert parse("3*x - 4").denominator == 1
+        assert Poly.zero().denominator == 1
+
+
+class TestInteger:
+    def test_integral_values(self):
+        assert integer(Fraction(6, 3), "two") == 2
+        assert type(integer(Fraction(6, 3), "two")) is int
+        assert integer(-7, "minus seven") == -7
+
+    def test_fraction_raises_naming_what(self):
+        with pytest.raises(ExactnessError, match="half is not an integer: 3/2"):
+            integer(Fraction(3, 2), "half")
 
 
 class TestExactnessError:
@@ -424,7 +459,7 @@ class TestDifferential:
 
 
 class TestPower:
-    def test_fifth_power_takes_four_products(self, monkeypatch):
+    def test_fifth_power_takes_three_products(self, monkeypatch):
         calls = []
         product = Poly.__mul__
 
@@ -436,8 +471,20 @@ class TestPower:
         monkeypatch.setattr(Poly, "__mul__", counting)
         result = p**5
         monkeypatch.undo()
-        assert len(calls) == 4
+        assert len(calls) == 3
         assert result == p * p * p * p * p
+
+    def test_zeroth_power_is_one_in_the_context(self):
+        one = parse("x + y") ** 0
+        assert one == 1 and one.variables == ("x", "y")
+
+    @pytest.mark.parametrize("e", range(1, 9))
+    def test_powers_match_repeated_products(self, e):
+        p = parse("x - 2*y + 1/3")
+        expected = p
+        for _ in range(e - 1):
+            expected = expected * p
+        assert p**e == expected
 
 
 class TestExponentCap:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import combinations
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -24,8 +25,9 @@ from nodepoly.grassmann import (
     threefold_6nodal_symbolic,
     threefold_validity,
 )
+from nodepoly.nodegen import node_polynomial
 from nodepoly.truncated import Truncated
-from oracles import grassmannian_integral
+from oracles import grassmannian_integral, plane_bundle_class
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -153,3 +155,35 @@ class TestCounts:
         assert LINES_ON_QUINTIC == 2875
         assert quintic_irreducible() == 21617125 - 609250 - 2875 * 1185
         assert quintic_irreducible() == 17601000
+
+
+def bq_value(q, v, w1, w2):
+    return node_polynomial(q).evaluate({"v": v, "w1": w1, "w2": w2})
+
+
+class TestLocalization:
+    """The p4 numbers by Bott residues on G(2, 5) and G(3, 5), in ``tests/oracles.py``."""
+
+    def test_lines_on_the_quintic(self):
+        # c_6 of Sym^5 S* on G(2, 5): the quintic's equation restricted to the line
+        def sym5(roots):
+            return prod(a * roots[0] + (5 - a) * roots[1] for a in range(6))
+
+        assert grassmannian_integral(sym5, 2) == LINES_ON_QUINTIC == 2875
+
+    def test_degree18_polynomial(self):
+        poly = threefold_6nodal_symbolic()
+        for m in range(1, 20):  # 19 values fix a polynomial of degree 18
+            count = grassmannian_integral(plane_bundle_class(bq_value, 6, m), 3)
+            assert count == poly.evaluate({"m": m})
+
+    def test_quintic_count_at_other_weights(self):
+        integrand = plane_bundle_class(bq_value, 6, 5)
+        assert grassmannian_integral(integrand, 3, (0, 1, 2, 3, 4)) == 21617125
+
+    def test_degree9_lines_polynomial(self):
+        poly = threefold_3nodal_lines()
+        for m in range(1, 11):  # 10 values fix a polynomial of degree 9
+            nodal = plane_bundle_class(bq_value, 3, m)
+            count = grassmannian_integral(lambda roots: nodal(roots) * sum(roots) ** 3, 3)
+            assert count == poly.evaluate({"m": m})

@@ -124,6 +124,23 @@ def test_no_module_checks_with_assert():
     assert found == []
 
 
+def _imported_packages(node: ast.AST) -> list[str]:
+    if isinstance(node, ast.Import):
+        return [alias.name.partition(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [(node.module or "").partition(".")[0]]
+    return []
+
+
+def test_oracles_import_nothing_from_nodepoly():
+    """The independent routes in ``tests/oracles.py`` share no code with the package."""
+    path = Path(__file__).with_name("oracles.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found = [f"{path.name}:{node.lineno}"
+             for node in ast.walk(tree) if "nodepoly" in _imported_packages(node)]
+    assert found == []
+
+
 X = parse("v^3 + v*w2", ("v", "w1", "w2"))
 POLY = "Poly(('v', 'w1', 'w2'), v^3 + v*w2)"
 

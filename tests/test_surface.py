@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from nodepoly.bell import bell_value
-from nodepoly.exactpoly import Poly, evaluate_in, parse
+from nodepoly.exactpoly import Poly, parse
 from nodepoly.nodegen import CLASS_VARIABLES, X4, X4_MULTIPLIER
 from nodepoly.surface import (
     _SURFACE,
@@ -22,7 +22,7 @@ from nodepoly.surface import (
     severi_degree,
     surface_aq,
 )
-from nodepoly.truncated import Truncated
+from nodepoly.truncated import pushforward
 from oracles import k3_counts, plane_severi_degree
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -36,11 +36,10 @@ def golden_lines(name: str) -> list[str]:
 def pushforward_monomial(a: int, b: int, c: int, cn: ChernNumbers) -> Poly:
     """v^a * w1^b * w2^c at v = c + h, w1 = K, w2 = X, pushed down to Y
     through the surface table and evaluated at the Chern numbers ``cn``."""
-    images = {"v": "c + h", "w1": "K", "w2": "X"}
-    values = {w: Truncated(parse(t), _SURFACE, _SURFACE_CAP) for w, t in images.items()}
+    images = {"v": parse("c + h"), "w1": parse("K"), "w2": parse("X")}
     monomial = Poly(CLASS_VARIABLES, {(a, b, c): 1})
-    pushed = evaluate_in(monomial, values, Truncated(1, _SURFACE, _SURFACE_CAP))
-    return pushed.integrate(_SURFACE_INTEGRALS).substitute(
+    pushed = pushforward(monomial, images, _SURFACE, _SURFACE_CAP, _SURFACE_INTEGRALS)
+    return pushed.substitute(
         {"d": cn.d, "k": cn.k, "s": cn.s, "x": cn.x}
     )
 
