@@ -92,8 +92,6 @@ def abelian_aq(q: int) -> Poly:
 
     which is polynomial in d (never rational in d).
     """
-    if not 1 <= q <= 8:
-        raise ValueError(f"q must be in 1..8: {q}")
     images = {"v": parse("l + h"), "w1": 0, "w2": 0}
     aq = pushforward(node_polynomial(q), images, _FIBER, _FIBER_CAP, _FIBER_INTEGRALS)
     aq = aq.in_context(_AQ_CONTEXT)

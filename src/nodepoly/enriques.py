@@ -82,9 +82,6 @@ class EnriquesDiagram:
             if v.parent == i or v.remote == i
         ]
 
-    def is_satellite(self, i: int) -> bool:
-        return self.vertices[i].remote is not None
-
     def is_leaf(self, i: int) -> bool:
         return not any(v.parent == i for v in self.vertices)
 
@@ -188,7 +185,7 @@ def invariants(diagram: EnriquesDiagram) -> DiagramInvariants:
     if bad is not None:
         raise ValueError(f"invalid diagram: {bad}")
     roots = diagram.roots()
-    frs = sum(1 for i in range(len(diagram)) if not diagram.is_satellite(i))
+    frs = sum(v.remote is None for v in diagram.vertices)
     deg = sum(comb(v.weight + 1, 2) for v in diagram.vertices)
     delta = sum(comb(v.weight, 2) for v in diagram.vertices)
     loads, _ = _proximity(diagram)
@@ -345,8 +342,9 @@ def _tree(key: TreeKey, base: int = 0) -> tuple[Vertex, ...]:
     return tuple(verts)
 
 
-def _single_root_catalog(max_vertices: int, max_weight: int) -> list[TreeKey]:
-    """All single-root valid minimal diagrams up to iso, as sorted keys.
+def _single_root_catalog(max_vertices: int, max_weight: int) -> list[tuple[TreeKey, int]]:
+    """All single-root valid minimal diagrams up to iso, as (key, vertex count)
+    pairs sorted by key.
 
     Orderly generation: a vertex's children are chosen as a non-decreasing
     tuple of keys, the order ``canonical_key`` sorts them in, so each
@@ -397,12 +395,7 @@ def _single_root_catalog(max_vertices: int, max_weight: int) -> list[TreeKey]:
                     for rest, more in family(room - size, offset, key):
                         yield (key, *rest), size + more
 
-    return sorted(key for key, _ in vertex(max_vertices, 0))
-
-
-def _size(key: TreeKey) -> int:
-    """Vertex count of the tree with this key."""
-    return 1 + sum(map(_size, key[2]))
+    return sorted(vertex(max_vertices, 0))
 
 
 def _forest_walk(
@@ -421,12 +414,10 @@ def _forest_walk(
         raise ValueError(f"max_vertices capped at 7: {max_vertices}")
     if max_weight > 6:
         raise ValueError(f"max_weight capped at 6: {max_weight}")
-    keys = _single_root_catalog(max_vertices, max_weight)
-    sizes = [_size(key) for key in keys]
-    placed = [
-        [place(key, base) for base in range(max_vertices - size + 1)]
-        for key, size in zip(keys, sizes)
-    ]
+    catalog = _single_root_catalog(max_vertices, max_weight)
+    sizes = [size for _, size in catalog]
+    placed = [[place(key, base) for base in range(max_vertices - size + 1)]
+              for key, size in catalog]
     fits = [[i for i, size in enumerate(sizes) if size <= room]
             for room in range(max_vertices + 1)]
 

@@ -365,22 +365,23 @@ class Poly:
         """The coefficients, polynomials in the other variables, of the monomials in ``graded``.
 
         Keyed by exponent tuples in the order of ``graded``; a variable outside
-        the context has exponent 0.
+        the context has exponent 0.  Each coefficient keeps this context, with
+        the graded variables at exponent 0; ``in_context`` drops them.
         """
         shift = dict(zip(self._variables, _shifts(len(self._variables))))
-        rest = tuple(v for v in self._variables if v not in graded)
-        moves = list(zip((shift[v] for v in rest), _shifts(len(rest))))
         picks = [shift.get(v) for v in graded]
+        keep = ~reduce(or_, (_SLOT << s for s in picks if s is not None), 0)
         groups: dict[Exponents, dict[int, int]] = {}
         for k, c in self._num.items():
-            groups.setdefault(tuple(0 if s is None else k >> s & _SLOT for s in picks), {})[k] = c
-        return {e: Poly._new(rest, _repacked(num, moves), self._den) for e, num in groups.items()}
+            key = tuple(0 if s is None else k >> s & _SLOT for s in picks)
+            groups.setdefault(key, {})[k & keep] = c
+        return {e: Poly._new(self._variables, num, self._den) for e, num in groups.items()}
 
     def coefficient_of(self, var: str, k: int) -> Poly:
         """The polynomial in the remaining variables multiplying var**k."""
         self._index(var)  # a KeyError for a variable outside the context
         rest = tuple(v for v in self._variables if v != var)
-        return self.coefficients_in((var,)).get((k,), Poly.zero(rest))
+        return self.coefficients_in((var,)).get((k,), Poly.zero()).in_context(rest)
 
     def _degrees(self, weights: Mapping[str, int]) -> Iterator[int]:
         """The weighted degree of each term, in storage order; unweighted variables count 0."""

@@ -73,15 +73,12 @@ def _aq_for(v: Poly, q: int) -> Poly:
     return pushed.in_context(_CONTEXT)
 
 
-@lru_cache(maxsize=None)
 def grass_aq(q: int) -> Poly:
     """a_q for the family of all planes: the pushforward of b_q at v = m*f.
 
     Homogeneous of degree q in q1, q2 (degree 1 and 2), with coefficients
     polynomial in the threefold degree m.
     """
-    if not 1 <= q <= 8:
-        raise ValueError(f"q must be in 1..8: {q}")
     return _aq_for(Poly.variable("m") * Poly.variable("f"), q)
 
 
@@ -117,7 +114,6 @@ def threefold_6nodal(m: int) -> int:
     return integer(threefold_6nodal_symbolic().evaluate({"m": m}), f"the 6-nodal count at m={m}")
 
 
-@lru_cache(maxsize=None)
 def threefold_3nodal_lines() -> Poly:
     """3-nodal plane curves on a degree-m threefold whose plane meets three
     general lines; each line imposes the special Schubert class q1."""
@@ -125,7 +121,6 @@ def threefold_3nodal_lines() -> Poly:
     return grass_integrate(cls * Poly.variable("q1") ** 3)
 
 
-@lru_cache(maxsize=None)
 def line_restricted_multiplier() -> int:
     """Binodal residual quartics per line on a general quintic threefold.
 

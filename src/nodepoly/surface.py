@@ -94,8 +94,6 @@ def _universal_aq(q: int) -> Poly:
 
 def surface_aq(q: int, cn: ChernNumbers) -> Poly:
     """a_q in m: the cached linear form in (d, k, s, x) evaluated at the Chern numbers."""
-    if not 1 <= q <= 8:
-        raise ValueError(f"q must be in 1..8: {q}")
     point = {"d": cn.d, "k": cn.k, "s": cn.s, "x": cn.x}
     return evaluate_in(_universal_aq(q), point, _ONE)
 

@@ -65,7 +65,7 @@ class Truncated:
         total = Poly.zero(rest)
         for key, part in self.poly.coefficients_in(tuple(self.weights)).items():
             if key in table:
-                total = total + part * table[key]
+                total = total + part.in_context(rest) * table[key]
         return total
 
 

@@ -8,9 +8,10 @@ them as an argument.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb, factorial, prod
 
 
@@ -39,6 +40,20 @@ def k3_counts(g: int, order: int) -> list[int]:
     return series
 
 
+def _residue(value, tangent, weights) -> Fraction:
+    """``value`` divided by the Euler class of a fixed point's tangent space.
+
+    Raises ValueError, naming the torus ``weights``, when a tangent weight
+    is 0: the weights are not generic enough for this space (two repeat, or
+    two sums of them coincide).
+    """
+    euler = prod(tangent)
+    if not euler:
+        raise ValueError(f"the torus weights {tuple(weights)} give a fixed point with "
+                         f"tangent weights {tuple(tangent)}, one of them 0")
+    return Fraction(value, euler)
+
+
 def grassmannian_integral(integrand, k: int, weights=(3, 17, -5, 29, 41)) -> Fraction:
     """The integral over G(k, n) of a class given by ``integrand(roots)``.
 
@@ -55,44 +70,107 @@ def grassmannian_integral(integrand, k: int, weights=(3, 17, -5, 29, 41)) -> Fra
         integral = sum_I integrand(-t_I) / prod (t_j - t_i).
 
     The sum does not depend on the weights when the integrand has the
-    dimension k(n - k) as its degree.
+    dimension k(n - k) as its degree.  Repeated weights raise ValueError.
     """
     total = Fraction(0)
     for subset in combinations(range(len(weights)), k):
-        euler = prod(weights[j] - weights[i] for i in subset
-                     for j in range(len(weights)) if j not in subset)
-        total += Fraction(integrand([-weights[i] for i in subset]), euler)
+        tangent = [weights[j] - weights[i] for i in subset
+                   for j in range(len(weights)) if j not in subset]
+        total += _residue(integrand([-weights[i] for i in subset]), tangent, weights)
     return total
 
 
+def _fiber_aq(bq, r: int, roots, v) -> list[Fraction]:
+    """a_1..a_r at a fixed point S_I of the base of the plane bundle P(S).
+
+    ``roots`` are the Chern roots rho_i of S* and ``v[i]`` the divisor class
+    at the fiber's fixed point e_i, where the hyperplane class is f = rho_i.
+    The relative cotangent bundle there has the weights rho_j - rho_i
+    (j != i), whose sum and product are w1 and w2, and the relative tangent
+    bundle has their negatives.  Localizing on the fiber,
+
+        a_q = sum_i b_q(v[i], w1, w2) / prod_j (rho_i - rho_j).
+    """
+    weights = [-rho for rho in roots]
+    aq = [Fraction(0)] * r
+    for i, f in enumerate(roots):
+        cotangent = [rho - f for j, rho in enumerate(roots) if j != i]
+        w1, w2 = sum(cotangent), prod(cotangent)
+        tangent = [-x for x in cotangent]
+        for q in range(1, r + 1):
+            aq[q - 1] += _residue(bq(q, v[i], w1, w2), tangent, weights)
+    return aq
+
+
 def plane_bundle_class(bq, r: int, m: int):
-    """The integrand, for ``grassmannian_integral`` over G(3, 5), of the
-    r-nodal plane curves on a degree-m threefold in P^4.
+    """The integrand, for ``grassmannian_integral`` over G(3, n), of the
+    r-nodal plane curves cut by a degree-m hypersurface in P^(n-1).
 
     ``bq(q, v, w1, w2)`` is the value of the node polynomial b_q.  The family
-    is the plane bundle P(S) over G(3, 5).  At a fixed point S_I, with Chern
-    roots rho_i = -t_i of S*, the fiber P(S_I) has the fixed points e_i
-    (i in I); there the hyperplane class is f = rho_i, the relative
-    cotangent bundle has the weights rho_j - rho_i (j in I, j != i), whose sum
-    and product are w1 and w2, and the relative tangent bundle has their
-    negatives.  Localizing on the fiber,
-
-        a_q = sum_i b_q(m*f, w1, w2) / prod_j (rho_i - rho_j),
-
-    and the class is P_r(a_1, ..., a_r)/r!.  This route uses neither the
-    back end's fiber table, its degree-6 table nor its images of w1, w2.
+    is the plane bundle P(S) over G(3, n) with v = m*f; the class is
+    P_r(a_1, ..., a_r)/r! with a_q from ``_fiber_aq``.  This route uses
+    neither the back end's fiber table, its degree-6 table nor its images of
+    w1, w2.
     """
     def integrand(roots):
-        aq = [Fraction(0)] * r
-        for i, f in enumerate(roots):
-            cotangent = [rho - f for j, rho in enumerate(roots) if j != i]
-            w1, w2 = sum(cotangent), prod(cotangent)
-            tangent = prod(-x for x in cotangent)
-            for q in range(1, r + 1):
-                aq[q - 1] += Fraction(bq(q, m * f, w1, w2), tangent)
-        return complete_bell(aq) / factorial(r)
+        return complete_bell(_fiber_aq(bq, r, roots, [m * f for f in roots])) / factorial(r)
 
     return integrand
+
+
+def conics_on_quintic(weights=(2, 11, 37, 101, 263)) -> Fraction:
+    """The conics on a general quintic threefold in P^4: 609250.
+
+    A conic spans a plane, so the conics form the projective bundle
+    P(Sym^2 S*) over G(3, 5), of dimension 11.  The quintic's equation
+    restricted to a conic is a section of E = Sym^5 S* / (O(-1) ⊗ Sym^3 S*),
+    of rank 11, and the count is the integral of its top Chern class.  A
+    fixed point is a coordinate plane S_I with a monomial conic x_a*x_b
+    (a, b in I), where x_i has weight -t_i: 60 in all.  Its tangent weights
+    are those of G(3, 5) and, along the fiber, w(x') - w(x_a*x_b) for the
+    five other quadratic monomials x' in x_I; e(E) there is the product of
+    the weights of the 11 quintic monomials in x_I that x_a*x_b does not
+    divide.  Weights with two equal sums of two, such as (3, 17, -5, 29, 41),
+    leave a zero fiber weight and raise ValueError.
+    """
+    def weight(monomial):
+        return -sum(weights[i] for i in monomial)
+
+    total = Fraction(0)
+    for subset in combinations(range(len(weights)), 3):
+        base = [weights[j] - weights[i] for i in subset
+                for j in range(len(weights)) if j not in subset]
+        quadrics = list(combinations_with_replacement(subset, 2))
+        quintics = list(combinations_with_replacement(subset, 5))
+        for conic in quadrics:
+            fiber = [weight(other) - weight(conic) for other in quadrics if other != conic]
+            sections = [weight(quintic) for quintic in quintics
+                        if not Counter(conic) <= Counter(quintic)]
+            total += _residue(prod(sections), base + fiber, weights)
+    return total
+
+
+def residual_binodal_per_line(bq, m: int, weights=(2, 11, 37, 101, 263)) -> Fraction:
+    """The binodal residual curves of degree m - 1 in the planes through a
+    line on a general degree-m threefold in P^4: 1185 on the quintic.
+
+    The planes through the coordinate line W = <e_0, e_1> form a P^2, with
+    fixed points S = W + <e_k> (k = 2..4) and tangent weights t_j - t_k
+    (j not in {0, 1, k}).  On such a plane the threefold's equation F,
+    which vanishes on the line, factors as F = x_k * G: the residual curve
+    G has degree m - 1, and its divisor class is that of F, m*f, less that
+    of x_k.  The coordinate x_k has weight rho_k = -t_k, so as a section of
+    O(1) its divisor has class f - rho_k, and v = (m - 1)*f + rho_k.  The
+    residual curve lies in the same plane, so w1 and w2 are the plane's, and
+    the count is the integral of P_2(a_1, a_2)/2 over the P^2.
+    """
+    total = Fraction(0)
+    for k in range(2, len(weights)):
+        roots = [-weights[0], -weights[1], -weights[k]]
+        tangent = [weights[j] - weights[k] for j in range(2, len(weights)) if j != k]
+        v = [(m - 1) * f + roots[2] for f in roots]
+        total += _residue(complete_bell(_fiber_aq(bq, 2, roots, v)) / 2, tangent, weights)
+    return total
 
 
 def complete_bell(a) -> Fraction:

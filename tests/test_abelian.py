@@ -58,6 +58,11 @@ class TestAq:
         # kappa_2 = -7 against the binomial/pushforward profile of v^4
         assert abelian_aq(2) == parse("-42*d*h^2 - 168*C1*h - 84*C1^2 + 168*C2")
 
+    @pytest.mark.parametrize("q", [0, 9])
+    def test_q_out_of_range(self, q):
+        with pytest.raises(ValueError, match=f"q must be in 1..8: {q}"):
+            abelian_aq(q)
+
     @pytest.mark.parametrize("q", range(1, 9))
     def test_polynomial_in_d(self, q):
         # the route never divides by d

@@ -13,6 +13,7 @@ from nodepoly.enriques import (
     Vertex,
     _proximity,
     _single_root_catalog,
+    _tree,
     canonical_key,
     enumerate_diagrams,
     enumeration_text,
@@ -267,6 +268,11 @@ def labelled_catalog(max_vertices, max_weight):
 
 
 class TestCatalogOracle:
+    def test_catalog_sizes_are_vertex_counts(self):
+        catalog = _single_root_catalog(7, 6)
+        assert [key for key, _ in catalog] == sorted(key for key, _ in catalog)
+        assert all(size == len(_tree(key)) for key, size in catalog)
+
     @pytest.mark.parametrize(
         "v,w", [(v, w) for v in range(1, 5) for w in range(1, 5)] + [(5, 3)]
     )

@@ -163,6 +163,15 @@ class TestCoefficientOf:
         with pytest.raises(KeyError, match="e"):
             parse("v^3 + v*w2", VARS).coefficient_of("e", 0)
 
+    def test_coefficients_keep_the_context(self):
+        p = parse("x^2*y + 3*x*y + y^2", ("x", "y"))
+        parts = p.coefficients_in(("x",))
+        assert parts == {(2,): parse("y"), (1,): parse("3*y"), (0,): parse("y^2")}
+        for part in parts.values():
+            assert part.variables == ("x", "y")
+            assert part.degree_in("x") == 0
+        assert p.coefficient_of("x", 1).variables == ("y",)
+
     @given(poly_strategy(("e", "w1"), max_exp=3), st.integers(0, 3))
     def test_recompose(self, p, k):
         e = V("e")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from math import prod
 from pathlib import Path
@@ -27,7 +28,12 @@ from nodepoly.grassmann import (
 )
 from nodepoly.nodegen import node_polynomial
 from nodepoly.truncated import Truncated
-from oracles import grassmannian_integral, plane_bundle_class
+from oracles import (
+    conics_on_quintic,
+    grassmannian_integral,
+    plane_bundle_class,
+    residual_binodal_per_line,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -100,6 +106,11 @@ class TestIntegration:
 
 
 class TestAq:
+    @pytest.mark.parametrize("q", [0, 9])
+    def test_q_out_of_range(self, q):
+        with pytest.raises(ValueError, match=f"q must be in 1..8: {q}"):
+            grass_aq(q)
+
     @pytest.mark.parametrize("q", range(1, 7))
     def test_homogeneous_of_degree_q(self, q):
         aq = grass_aq(q)
@@ -139,8 +150,6 @@ class TestCounts:
     def test_lines3_leading_term(self):
         poly = threefold_3nodal_lines()
         assert poly.degree_in("m") == 9
-        from fractions import Fraction
-
         assert poly.terms.get((9,)) == Fraction(5, 6)
 
     def test_line_multiplier(self):
@@ -161,15 +170,45 @@ def bq_value(q, v, w1, w2):
     return node_polynomial(q).evaluate({"v": v, "w1": w1, "w2": w2})
 
 
+def sym5(roots):
+    """c_6 of Sym^5 S* on G(2, 5): the quintic's equation restricted to a line."""
+    return prod(a * roots[0] + (5 - a) * roots[1] for a in range(6))
+
+
+#: Torus weights generic enough for the space of conics (no two sums of two
+#: weights coincide, unlike those of ``grassmannian_integral``'s default).
+CONIC_WEIGHTS = [(2, 11, 37, 101, 263), (7, 23, 62, 131, 311)]
+
+
 class TestLocalization:
     """The p4 numbers by Bott residues on G(2, 5) and G(3, 5), in ``tests/oracles.py``."""
 
     def test_lines_on_the_quintic(self):
-        # c_6 of Sym^5 S* on G(2, 5): the quintic's equation restricted to the line
-        def sym5(roots):
-            return prod(a * roots[0] + (5 - a) * roots[1] for a in range(6))
-
         assert grassmannian_integral(sym5, 2) == LINES_ON_QUINTIC == 2875
+
+    @pytest.mark.parametrize("weights", CONIC_WEIGHTS)
+    def test_conics_on_the_quintic(self, weights):
+        assert conics_on_quintic(weights) == SMOOTH_CONICS_ON_QUINTIC == 609250
+
+    @pytest.mark.parametrize("weights", CONIC_WEIGHTS)
+    def test_line_multiplier(self, weights):
+        assert residual_binodal_per_line(bq_value, 5, weights) == line_restricted_multiplier()
+        assert line_restricted_multiplier() == 1185
+
+    def test_irreducible_quintics(self):
+        six_nodal = grassmannian_integral(plane_bundle_class(bq_value, 6, 5), 3)
+        reducible = (conics_on_quintic()
+                     + grassmannian_integral(sym5, 2) * residual_binodal_per_line(bq_value, 5))
+        assert quintic_irreducible() == six_nodal - reducible == 17601000
+
+    def test_coinciding_weights_are_refused(self):
+        # 17 + 41 = 29 + 29: the conics x_1*x_4 and x_3^2 share a weight
+        with pytest.raises(ValueError, match=r"torus weights \(3, 17, -5, 29, 41\)"):
+            conics_on_quintic((3, 17, -5, 29, 41))
+        with pytest.raises(ValueError, match=r"torus weights \(1, 1, 2, 3, 4\)"):
+            grassmannian_integral(sym5, 2, (1, 1, 2, 3, 4))
+        with pytest.raises(ValueError, match=r"torus weights \(1, 1, 2\)"):
+            plane_bundle_class(bq_value, 1, 3)([-1, -1, -2])
 
     def test_degree18_polynomial(self):
         poly = threefold_6nodal_symbolic()
@@ -187,3 +226,38 @@ class TestLocalization:
             nodal = plane_bundle_class(bq_value, 3, m)
             count = grassmannian_integral(lambda roots: nodal(roots) * sum(roots) ** 3, 3)
             assert count == poly.evaluate({"m": m})
+
+
+class TestPlaneSections:
+    """Salmon's counts for the plane sections of a degree-m surface in P^3.
+
+    The family is the plane bundle over G(3, 4) = P^3*, where w1 and w2
+    vary, so these see b_1..b_3 beyond the surface pushforwards.  The
+    hyperplane class of P^3* is q1; the planes through a point have class
+    q1 and those through a line q1^2.  Each count is a polynomial of degree
+    at most 9 in m, fixed by its values at m = 2..11.
+    """
+
+    WEIGHTS = (3, 17, -5, 29)
+
+    def count(self, r, m, schubert):
+        nodal = plane_bundle_class(bq_value, r, m)
+        return grassmannian_integral(lambda roots: nodal(roots) * sum(roots) ** schubert, 3,
+                                     self.WEIGHTS)
+
+    @pytest.mark.parametrize("m", range(2, 12))
+    def test_dual_degree(self, m):
+        assert self.count(1, m, 2) == m * (m - 1) ** 2
+
+    @pytest.mark.parametrize("m", range(2, 12))
+    def test_bitangent_planes_through_a_point(self, m):
+        assert self.count(2, m, 1) == Fraction(m * (m - 1) * (m - 2) * (m**3 - m**2 + m - 12), 2)
+
+    @pytest.mark.parametrize("m", range(2, 12))
+    def test_tritangent_planes(self, m):
+        salmon = m * (m - 2) * (m**7 - 4 * m**6 + 7 * m**5 - 45 * m**4 + 114 * m**3
+                                - 111 * m**2 + 548 * m - 960)
+        assert self.count(3, m, 0) == Fraction(salmon, 6)
+
+    def test_cubic_and_quartic(self):
+        assert (self.count(3, 3, 0), self.count(3, 4, 0)) == (45, 3200)

@@ -69,6 +69,11 @@ class TestAq:
         for q, line in enumerate(golden_lines("plane_aq.txt"), start=1):
             assert str(surface_aq(q, PLANE)) == line
 
+    @pytest.mark.parametrize("q", [0, 9])
+    def test_q_out_of_range(self, q):
+        with pytest.raises(ValueError, match=f"q must be in 1..8: {q}"):
+            surface_aq(q, PLANE)
+
     def test_a1_from_monomial_oracle(self):
         # independent route: push the three monomials of b_1 one by one
         oracle = (
