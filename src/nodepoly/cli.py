@@ -51,34 +51,65 @@ def _fmt_inputs(inputs: dict[str, int | str]) -> str:
     return " ".join(f"{k}={v}" for k, v in inputs.items())
 
 
+#: lines per ``write`` to the output: few system calls even unbuffered, flat memory
+BATCH = 512
+
+
+class _Batch(list):
+    """Collects ``write`` calls and passes every ``BATCH`` of them to ``out`` as one."""
+
+    def __init__(self, out: io.TextIOBase) -> None:
+        super().__init__()
+        self.out = out
+
+    def write(self, text: str) -> None:
+        self.append(text)
+        if len(self) == BATCH:
+            self.flush()
+
+    def flush(self) -> None:
+        text = "".join(self)
+        self.clear()  # first, so that a failed write is not repeated
+        if text:
+            self.out.write(text)
+
+
 def emit(records: Iterable[OutputRecord], fmt: str, out: io.TextIOBase) -> None:
-    """Write the records; json and csv stream them, text collects to align columns."""
-    if fmt == "json":
-        import json
-        line = json.JSONEncoder(sort_keys=True).encode  # as json.dumps(..., sort_keys=True)
-        for r in records:  # a record's fields are its JSON object's keys
-            out.write(line(r._asdict()) + "\n")
-        return
-    if fmt == "csv":
-        import csv
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["command", "inputs", "result", "valid", "ref"])
-        for r in records:
-            writer.writerow(
-                [r.command, _fmt_inputs(r.inputs), str(r.result), r.valid or "", r.ref]
-            )
-        return
-    rows = [
-        (r.command, _fmt_inputs(r.inputs), str(r.result), r.valid or "", r.ref)
-        for r in records
-    ]
-    widths = [max((len(row[i]) for row in rows), default=0) for i in range(4)]
-    for row in rows:
-        line = "  ".join(
-            [row[0].ljust(widths[0]), row[1].ljust(widths[1]), row[2].ljust(widths[2]),
-             row[3].ljust(widths[3]), row[4]]
-        )
-        out.write(line.rstrip() + "\n")
+    """Write the records ``BATCH`` lines to a ``write``, and what is pending also on failure.
+
+    json and csv stream the records, so memory stays flat at any count; text
+    collects them to align its columns.  The number of writes is the same with
+    or without ``-u`` (``PYTHONUNBUFFERED``).
+    """
+    out = _Batch(out)
+    try:
+        if fmt == "json":
+            import json
+            line = json.JSONEncoder(sort_keys=True).encode  # as json.dumps(..., sort_keys=True)
+            for r in records:  # a record's fields are its JSON object's keys
+                out.write(line(r._asdict()) + "\n")
+        elif fmt == "csv":
+            import csv
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(["command", "inputs", "result", "valid", "ref"])
+            for r in records:
+                writer.writerow(
+                    [r.command, _fmt_inputs(r.inputs), str(r.result), r.valid or "", r.ref]
+                )
+        else:
+            rows = [
+                (r.command, _fmt_inputs(r.inputs), str(r.result), r.valid or "", r.ref)
+                for r in records
+            ]
+            widths = [max((len(row[i]) for row in rows), default=0) for i in range(4)]
+            for row in rows:
+                line = "  ".join(
+                    [row[0].ljust(widths[0]), row[1].ljust(widths[1]), row[2].ljust(widths[2]),
+                     row[3].ljust(widths[3]), row[4]]
+                )
+                out.write(line.rstrip() + "\n")
+    finally:
+        out.flush()
 
 
 def _p4_annotation(m: int) -> str:

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import nodepoly
-from nodepoly.cli import EXIT_BROKEN_PIPE, FORMATS, run
+from nodepoly.cli import BATCH, EXIT_BROKEN_PIPE, FORMATS, OutputRecord, emit, run
 from nodepoly.enriques import named_diagram, to_text
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -72,6 +72,29 @@ def invoke(capsys, *argv: str) -> tuple[int, str]:
     code = run(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def cli_env(unbuffered: bool) -> dict[str, str]:
+    """The environment of a ``nodecount`` child: this ``nodepoly``, stdio as asked."""
+    src = str(Path(nodepoly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+class CountingStream(io.StringIO):
+    """A text stream that counts its ``write`` calls."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
 
 
 def readme_examples() -> list[list[str]]:
@@ -185,6 +208,32 @@ class TestFormats:
         assert rows[0] == ["command", "inputs", "result", "valid", "ref"]
         assert len(rows) == 10
 
+    @pytest.mark.parametrize("fmt,most", [("json", 3), ("csv", 4), ("text", 3)])
+    def test_writes_in_batches(self, fmt, most):
+        records = [
+            OutputRecord("enriques", {"i": i}, f"r{i}", None if i % 3 else "in range", "x")
+            for i in range(2 * BATCH + 1)
+        ]
+        stream = CountingStream()
+        emit(records, fmt, stream)
+        assert stream.writes <= most
+        one_at_a_time = io.StringIO()
+        if fmt == "json":
+            for r in records:
+                one_at_a_time.write(json.dumps(r._asdict(), sort_keys=True) + "\n")
+        elif fmt == "csv":
+            writer = csv.writer(one_at_a_time, lineterminator="\n")
+            writer.writerow(["command", "inputs", "result", "valid", "ref"])
+            for r in records:
+                writer.writerow([r.command, f"i={r.inputs['i']}", r.result, r.valid or "", r.ref])
+        else:
+            rows = [(r.command, f"i={r.inputs['i']}", r.result, r.valid or "") for r in records]
+            widths = [max(len(row[i]) for row in rows) for i in range(4)]
+            for row in rows:
+                cells = [cell.ljust(width) for cell, width in zip(row, widths)]
+                one_at_a_time.write("  ".join(cells + ["x"]) + "\n")
+        assert stream.getvalue() == one_at_a_time.getvalue()
+
     def test_text_alignment(self, capsys):
         _, out = invoke(capsys, "plane", "--table")
         lines = out.splitlines()
@@ -258,6 +307,24 @@ class TestEnriques:
         assert json.loads(captured.out)["result"] == "0 2 - -"
         assert captured.err == "nodecount: error: exactness check failed\n"
 
+    @pytest.mark.parametrize("fmt,lines", [("json", 1100), ("csv", 1101), ("text", 0)])
+    def test_error_after_several_batches_is_reported(self, capsys, monkeypatch, fmt, lines):
+        # json and csv have written two batches and hold the rest when the
+        # stream fails; text collects every record before writing any
+        def failing(max_v, max_w):
+            for i in range(1100):
+                yield f"record {i}"
+            raise AssertionError("exactness check failed")
+
+        monkeypatch.setattr("nodepoly.enriques.enumeration_text", failing)
+        code = run(["enriques", "enumerate", "--max-v", "2", "--max-w", "2", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert len(captured.out.splitlines()) == lines
+        if fmt == "json":
+            assert json.loads(captured.out.splitlines()[-1])["result"] == "record 1099"
+        assert captured.err == "nodecount: error: exactness check failed\n"
+
     def test_fractional_count_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr("nodepoly.surface.plane_count", lambda r, m: Fraction(3, 2))
         code = run(["plane", "--r", "2", "--m", "3"])
@@ -265,16 +332,14 @@ class TestEnriques:
         assert code == 1 and captured.out == ""
         assert captured.err == "nodecount: error: the count at r=2, m=3 is not an integer: 3/2\n"
 
-    def test_closed_pipe_exits_quietly(self):
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_pipe_exits_quietly(self, unbuffered):
         # the output (1.6 MB) outgrows the pipe buffer, so the writer sees
         # the reader go away after the first line
-        src = str(Path(nodepoly.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.Popen(
             [sys.executable, "-m", "nodepoly.cli", "enriques", "enumerate",
              "--max-v", "6", "--max-w", "5", "--format", "json"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(unbuffered),
         )
         first = proc.stdout.readline()
         proc.stdout.close()
@@ -282,6 +347,16 @@ class TestEnriques:
         assert json.loads(first)["ref"] == "diagram-enumeration"
         assert err == b""
         assert proc.returncode == EXIT_BROKEN_PIPE
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_6_5_pinned_in_a_fresh_process(self, unbuffered):
+        proc = subprocess.run(
+            [sys.executable, "-m", "nodepoly.cli", "enriques", "enumerate",
+             "--max-v", "6", "--max-w", "5", "--format", "json"],
+            capture_output=True, env=cli_env(unbuffered), timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == b""
+        assert hashlib.sha256(proc.stdout).hexdigest() == ENUMERATE_6_5_SHA256["json"]
 
 
 class TestValidity:
