@@ -79,15 +79,23 @@ def emit(records: Iterable[OutputRecord], fmt: str, out: io.TextIOBase) -> None:
 
     json and csv stream the records, so memory stays flat at any count; text
     collects them to align its columns.  The number of writes is the same with
-    or without ``-u`` (``PYTHONUNBUFFERED``).
+    or without ``-u`` (``PYTHONUNBUFFERED``).  json encodes the fields around
+    ``result`` once per run of records that share them, not once per record.
     """
     out = _Batch(out)
     try:
         if fmt == "json":
             import json
             line = json.JSONEncoder(sort_keys=True).encode  # as json.dumps(..., sort_keys=True)
-            for r in records:  # a record's fields are its JSON object's keys
-                out.write(line(r._asdict()) + "\n")
+            last = None  # held, so that the id of its inputs dict cannot be reused
+            for r in records:  # keys in sorted order: command, inputs, ref, result, valid
+                if (last is None or r.inputs is not last.inputs or r.command != last.command
+                        or r.ref != last.ref or r.valid != last.valid):
+                    shared = line({"command": r.command, "inputs": r.inputs, "ref": r.ref})
+                    head = shared[:-1] + ', "result": '
+                    tail = ', "valid": ' + line(r.valid) + "}\n"
+                last = r
+                out.write(head + line(r.result) + tail)
         elif fmt == "csv":
             import csv
             writer = csv.writer(out, lineterminator="\n")

@@ -173,6 +173,22 @@ def residual_binodal_per_line(bq, m: int, weights=(2, 11, 37, 101, 263)) -> Frac
     return total
 
 
+def jet_bundle_top_class(k: int, alpha, beta, v):
+    """The top Chern class of J^k(L), the bundle of principal parts of order k
+    of a line bundle L on a surface, at Chern roots.
+
+    J^k(L) is filtered with graded pieces Sym^i(Omega) (x) L for i = 0..k, so
+    with alpha, beta the Chern roots of the cotangent bundle Omega
+    (w1 = alpha + beta, w2 = alpha*beta) and v = c_1(L), its Chern roots are
+    v + i*alpha + j*beta over i + j <= k, and its rank is (k+1)(k+2)/2.  The
+    class counts the points where a curve of the linear system has
+    multiplicity > k: Kleiman, "The enumerative theory of singularities"
+    (1977), and Kleiman–Piene, "Enumerating singular curves on surfaces",
+    Contemp. Math. 241 (1999).
+    """
+    return prod(v + i * alpha + j * beta for i in range(k + 1) for j in range(k + 1 - i))
+
+
 def complete_bell(a) -> Fraction:
     """P_n(a_1, ..., a_n), n = len(a), by P_{k+1} = sum_j C(k, j) a_{j+1} P_{k-j}."""
     p = [Fraction(1)]

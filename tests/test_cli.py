@@ -116,6 +116,20 @@ class TestReadme:
         assert code == 0
         assert out.strip()
 
+    @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+    def test_example_json_lines_are_its_records(self, capsys, monkeypatch, argv):
+        """Each json line is ``json.dumps`` of the record the handler returned."""
+        returned: list[OutputRecord] = []
+
+        def keeping(records, fmt, out):
+            returned.extend(records)
+            emit(returned, fmt, out)
+
+        monkeypatch.setattr("nodepoly.cli.emit", keeping)
+        code, out = invoke(capsys, *argv, "--format", "json")
+        assert code == 0 and returned
+        assert out.splitlines() == [json.dumps(r._asdict(), sort_keys=True) for r in returned]
+
 
 class TestCounts:
     def test_plane_count(self, capsys):
@@ -233,6 +247,37 @@ class TestFormats:
                 cells = [cell.ljust(width) for cell, width in zip(row, widths)]
                 one_at_a_time.write("  ".join(cells + ["x"]) + "\n")
         assert stream.getvalue() == one_at_a_time.getvalue()
+
+    def test_json_lines_around_shared_fields(self):
+        """A json line is ``json.dumps`` of its record wherever a run of shared fields breaks."""
+        results = ['say "x"', "two\nlines", "Enriques – ∞ é 😀", 2**64 + 1, -7, ""]
+        expected: list[str] = []
+
+        def records():
+            inputs = {"max-v": 7, "max-w": 6}
+            fields = [
+                ("enriques", None, "a"), ("enriques", None, "a"),
+                ("enriques", "in range", "a"), ("enriques", None, "a"),  # valid flips
+                ("enriques", None, "b"), ("plane", None, "b"),  # ref, then command change
+            ]
+            for command, valid, ref in fields:
+                for result in results:
+                    yield OutputRecord(command, inputs, result, valid, ref)
+            # equal to the last inputs but another object; 7.0 == 7 yet encodes as 7.0
+            for equal in ({"max-v": 7, "max-w": 6}, {"max-v": 7.0, "max-w": 6}):
+                yield OutputRecord("plane", equal, results[0], None, "b")
+            for q in range(3):  # a fresh dict per record, as ``bq`` builds them
+                yield OutputRecord("bq", {"q": q}, results[q], None, "b")
+
+        def recorded():
+            for r in records():
+                expected.append(json.dumps(r._asdict(), sort_keys=True))
+                yield r
+
+        out = io.StringIO()
+        emit(recorded(), "json", out)
+        assert len(expected) == 6 * len(results) + 5
+        assert out.getvalue().splitlines() == expected
 
     def test_text_alignment(self, capsys):
         _, out = invoke(capsys, "plane", "--table")
