@@ -26,6 +26,9 @@ import argparse
 import io
 import os
 import sys
+from functools import partial
+from itertools import groupby, islice, repeat
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from . import abelian, grassmann, surface
@@ -55,69 +58,61 @@ def _fmt_inputs(inputs: dict[str, int | str]) -> str:
 BATCH = 512
 
 
-class _Batch(list):
-    """Collects ``write`` calls and passes every ``BATCH`` of them to ``out`` as one."""
-
-    def __init__(self, out: io.TextIOBase) -> None:
-        super().__init__()
-        self.out = out
-
-    def write(self, text: str) -> None:
-        self.append(text)
-        if len(self) == BATCH:
-            self.flush()
-
-    def flush(self) -> None:
-        text = "".join(self)
-        self.clear()  # first, so that a failed write is not repeated
-        if text:
-            self.out.write(text)
-
-
 def emit(records: Iterable[OutputRecord], fmt: str, out: io.TextIOBase) -> None:
-    """Write the records ``BATCH`` lines to a ``write``, and what is pending also on failure.
+    """Write the records ``BATCH`` lines to a ``write``, and those taken also on failure.
 
     json and csv stream the records, so memory stays flat at any count; text
-    collects them to align its columns.  The number of writes is the same with
-    or without ``-u`` (``PYTHONUNBUFFERED``).  json encodes the fields around
-    ``result`` once per run of records that share them, not once per record.
+    collects them to align its columns.  Each format encodes a batch of
+    records at a time, so the number of writes is the same with or without
+    ``-u`` (``PYTHONUNBUFFERED``); csv writes its header on its own first.
     """
-    out = _Batch(out)
-    try:
-        if fmt == "json":
-            import json
-            line = json.JSONEncoder(sort_keys=True).encode  # as json.dumps(..., sort_keys=True)
-            last = None  # held, so that the id of its inputs dict cannot be reused
-            for r in records:  # keys in sorted order: command, inputs, ref, result, valid
-                if (last is None or r.inputs is not last.inputs or r.command != last.command
-                        or r.ref != last.ref or r.valid != last.valid):
-                    shared = line({"command": r.command, "inputs": r.inputs, "ref": r.ref})
-                    head = shared[:-1] + ', "result": '
-                    tail = ', "valid": ' + line(r.valid) + "}\n"
-                last = r
-                out.write(head + line(r.result) + tail)
-        elif fmt == "csv":
+    if fmt == "json":
+        import json
+        line = json.JSONEncoder(sort_keys=True).encode  # as json.dumps(..., sort_keys=True)
+        encode = partial(_json_lines, line=line)
+    else:
+        records = ((r.command, _fmt_inputs(r.inputs), str(r.result), r.valid or "", r.ref)
+                   for r in records)
+        if fmt == "csv":
             import csv
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(["command", "inputs", "result", "valid", "ref"])
-            for r in records:
-                writer.writerow(
-                    [r.command, _fmt_inputs(r.inputs), str(r.result), r.valid or "", r.ref]
-                )
+
+            def encode(rows: list) -> str:
+                text = io.StringIO()
+                csv.writer(text, lineterminator="\n").writerows(rows)
+                return text.getvalue()
+
+            out.write(encode([("command", "inputs", "result", "valid", "ref")]))
         else:
-            rows = [
-                (r.command, _fmt_inputs(r.inputs), str(r.result), r.valid or "", r.ref)
-                for r in records
-            ]
-            widths = [max((len(row[i]) for row in rows), default=0) for i in range(4)]
-            for row in rows:
-                line = "  ".join(
-                    [row[0].ljust(widths[0]), row[1].ljust(widths[1]), row[2].ljust(widths[2]),
-                     row[3].ljust(widths[3]), row[4]]
-                )
-                out.write(line.rstrip() + "\n")
+            records = list(records)
+            widths = [max((len(row[i]) for row in records), default=0) for i in range(4)]
+
+            def encode(rows: list) -> str:
+                return "".join("  ".join([*map(str.ljust, row, widths), row[4]]).rstrip()
+                               + "\n" for row in rows)
+
+    records, taken = iter(records), []
+    try:
+        while taken.extend(islice(records, BATCH)) or taken:  # keeps those taken if one fails
+            batch, taken = taken, []  # first, so that a failed write is not repeated
+            out.write(encode(batch))
     finally:
-        out.flush()
+        if taken:
+            out.write(encode(taken))
+
+
+def _json_lines(records: list[OutputRecord], line: Callable[[object], str]) -> str:
+    """The records' json lines, keys sorted.  The fields around ``result`` are
+    encoded once per run of records with equal command, ref and valid and one
+    ``inputs`` object (an equal dict may encode otherwise; all the records are
+    alive, so an id is one dict), and the run's results with one ``map``."""
+    parts = []
+    for (command, _, ref, valid), run in groupby(
+            records, lambda r: (r.command, id(r.inputs), r.ref, r.valid)):
+        run = list(run)
+        head = line({"command": command, "inputs": run[0].inputs, "ref": ref})[:-1]
+        head, tail = head + ', "result": ', ', "valid": ' + line(valid) + "}\n"
+        parts.append(head + (tail + head).join(map(line, map(attrgetter("result"), run))) + tail)
+    return "".join(parts)
 
 
 def _p4_annotation(m: int) -> str:
@@ -202,11 +197,11 @@ def _cmd_abelian_count(args: argparse.Namespace) -> list[OutputRecord]:
 
 def _cmd_enriques_enumerate(args: argparse.Namespace) -> Iterable[OutputRecord]:
     from . import enriques
+    texts = enriques.enumeration_text(args.max_v, args.max_w)
     inputs = {"max-v": args.max_v, "max-w": args.max_w}
-    return (
-        OutputRecord("enriques", inputs, text, None, "diagram-enumeration")
-        for text in enriques.enumeration_text(args.max_v, args.max_w)
-    )
+    fields = zip(repeat("enriques"), repeat(inputs), texts, repeat(None),
+                 repeat("diagram-enumeration"))
+    return map(partial(tuple.__new__, OutputRecord), fields)  # as _make, with no frame per record
 
 
 def _diagram_query(args: argparse.Namespace, query: Callable, ref: str) -> list[OutputRecord]:

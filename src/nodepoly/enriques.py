@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain, starmap
 from math import comb
 from typing import Callable, Iterator, TypeVar
 
@@ -324,114 +326,134 @@ def canonical_key(diagram: EnriquesDiagram) -> tuple[TreeKey, ...]:
     return tuple(sorted(subtree(r) for r in diagram.roots()))
 
 
-def _tree(key: TreeKey, base: int = 0) -> tuple[Vertex, ...]:
-    """The canonical single-root diagram with this key, numbered from ``base``."""
-    verts: list[Vertex] = []
-    path: list[int] = []  # ancestors of the vertex being placed, root first
+def _rows(key: TreeKey, label: Callable[[int], object]) -> list[tuple]:
+    """(id, weight, parent, remote) of each vertex of the canonical tree with
+    this key, in preorder; vertex i has id ``label(i)``, and None is none."""
+    rows, path = [], []  # path: ids of the ancestors of the vertex being placed, root first
 
-    def visit(key: TreeKey, parent: int | None) -> None:
+    def visit(key: TreeKey, parent: object) -> None:
         weight, offset, children = key
-        idx = base + len(verts)
-        verts.append(Vertex(weight, parent, path[-offset] if offset else None))
+        idx = label(len(rows))
+        rows.append((idx, weight, parent, path[-offset] if offset else None))
         path.append(idx)
         for child in children:
             visit(child, idx)
         path.pop()
 
     visit(key, None)
-    return tuple(verts)
+    return rows
+
+
+def _tree(key: TreeKey, base: int = 0) -> tuple[Vertex, ...]:
+    """The canonical single-root diagram with this key, numbered from ``base``."""
+    return tuple(Vertex(w, p, r) for _, w, p, r in _rows(key, base.__add__))
 
 
 def _single_root_catalog(max_vertices: int, max_weight: int) -> list[tuple[TreeKey, int]]:
     """All single-root valid minimal diagrams up to iso, as (key, vertex count)
     pairs sorted by key.
 
-    Orderly generation: a vertex's children are chosen as a non-decreasing
-    tuple of keys, the order ``canonical_key`` sorts them in, so each
-    isomorphism class is built once and no tree needs a canonical form or
-    a duplicate check.  A child's remote target is its grandparent or its
-    parent's remote target, which is the proximity chain.
+    Built bottom up.  A child's remote target is its grandparent or its
+    parent's remote target (the proximity chain), so from inside a subtree
+    only its root's parent and remote target are reached, and a subtree is
+    built once for all the trees it fits in.  Children are a non-decreasing
+    run of candidate subtrees, sorted into ``canonical_key``'s order, so each
+    isomorphism class is built once, with no canonical form or duplicate check.
 
-    Every yielded tree is valid and minimal without a ``validate`` pass.
-    ``caps`` holds the remaining proximity budget of each vertex on the
-    current path (``caps[0]`` bounds the root weight by ``max_weight``).
-    A new vertex of weight w may not exceed the budget of its parent or of
-    its remote target and takes w from both, so no vertex ever carries
-    more proximate weight than its own; a free leaf of weight 1 is skipped.
+    Every tree is valid and minimal without a ``validate`` pass: a vertex of
+    weight w keeps its children's take from it within w and passes their
+    take from its parent and remote target up, plus w, each at most
+    ``max_weight``; a free leaf of weight 1 is skipped.
     """
     if max_vertices < 1:
         return []
-    caps = [max_weight]
 
-    def vertex(room: int, offset: int) -> Iterator[tuple[TreeKey, int]]:
-        """Subtrees of at most ``room`` vertices below ``caps[-1]`` whose root
-        is remote-proximate ``offset`` generations up (0: free), with sizes."""
-        targets = (-1, -offset) if offset else (-1,)
-        for w in range(1, min(caps[t] for t in targets) + 1):
-            for t in targets:
-                caps[t] -= w
-            caps.append(w)
-            for children, size in family(room - 1, offset, ()):
-                if w > 1 or offset or children:
-                    own = caps.pop()  # siblings are placed one level up
-                    yield (w, offset, children), size + 1
-                    caps.append(own)
-            caps.pop()
-            for t in targets:
-                caps[t] += w
+    @cache
+    def subtrees(room: int, offset: int, root: bool = False) -> list[tuple]:
+        """(key, size, take from the parent, take from the remote target) of the
+        subtrees of at most ``room`` vertices whose root is remote-proximate
+        ``offset`` generations up (0: free).  A tree root has no grandparent."""
+        kinds = (0,) if root else (0, 2, offset + 1) if offset else (0, 2)
+        # candidate children by size, then by take from this vertex (down); then
+        # their take from its parent (up: offset 2) and remote target (far), key
+        children = sorted((size, up, far * (o == 2), far * (o > 2), key) for o in kinds
+                          if room > 1 for key, size, up, far in subtrees(room - 1, o))
+        ends = [bisect_left(children, (size + 1,)) for size in range(room)]
+        found = []
+        for w in range(1, max_weight + 1):
+            for keys, size, _, up, far in family(children, ends, 0, room - 1, w,
+                                                 max_weight - w, max_weight - w):
+                if w > 1 or offset or keys:
+                    key = (w, offset, tuple(sorted(keys)))
+                    found.append((key, size + 1, w + up, w + far if offset else 0))
+        return found
 
-    def family(room: int, offset: int, least: tuple) -> Iterator[tuple[tuple, int]]:
-        """Children of the vertex at ``caps[-1]`` (its own remote ``offset``),
-        as non-decreasing tuples of keys no smaller than ``least``."""
-        yield (), 0
-        if not room:
-            return
-        offsets = [0, 2] if len(caps) > 2 else [0]  # caps[0] is not a vertex
-        if offset:
-            offsets.append(offset + 1)
-        for child_offset in offsets:
-            for key, size in vertex(room, child_offset):
-                if key >= least:
-                    for rest, more in family(room - size, offset, key):
-                        yield (key, *rest), size + more
+    def family(children: list, ends: list[int], j: int, room: int, down: int, up: int,
+               far: int) -> Iterator[tuple[tuple, int, int, int, int]]:
+        """Non-decreasing runs of ``children[j:]`` within ``room`` vertices and
+        a take of ``down``, ``up`` and ``far``, with their size and take."""
+        yield (), 0, 0, 0, 0
+        while j < len(children):
+            size, d, u, f, key = children[j]
+            if size > room:
+                return
+            if d > down:  # and so does the rest of this size
+                j = ends[size]
+                continue
+            if u <= up and f <= far:
+                for keys, more, dd, uu, ff in family(children, ends, j, room - size,
+                                                     down - d, up - u, far - f):
+                    yield (key, *keys), size + more, d + dd, u + uu, f + ff
+            j += 1
 
-    return sorted(vertex(max_vertices, 0))
+    catalog = sorted((key, size) for key, size, _, _ in subtrees(max_vertices, 0, True))
+    subtrees.cache_clear()  # the memo is scratch: freed here, not left to the collector
+    return catalog
 
 
-def _forest_walk(
-    max_vertices: int, max_weight: int, place: Callable[[TreeKey, int], Piece], empty: Piece
-) -> Iterator[Piece]:
-    """Every forest as the concatenation of its placed trees, in order.
+def _forest_walk(max_vertices: int, max_weight: int, place: Callable[[TreeKey, int], list[Piece]],
+                 empty: Piece) -> Iterator[list[Piece]]:
+    """Every forest as the concatenation of its placed trees, in order, in
+    lists of 512 forests: few yields, flat memory.  The limits are checked
+    at the call.
 
-    ``place(key, base)`` gives a tree with its root at index ``base``; it is
-    called once for every index a tree can take.  Forests are non-decreasing
+    ``place(key, count)`` gives the tree with its root at each index below
+    ``count``, all the indices it can take.  Forests are non-decreasing
     tuples of catalog indices, by total size first, then lexicographically:
     each step adds one placed tree to its parent's prefix, so a prefix
     shared by many forests is built once.  ``fits[room]`` lists the trees of
-    size at most ``room``, so no step looks at a tree that cannot fit.
+    size at most ``room``, so no step looks at a tree that cannot fit.  Only
+    a full list of forests travels up the recursion.
     """
     if max_vertices > 7:
         raise ValueError(f"max_vertices capped at 7: {max_vertices}")
     if max_weight > 6:
         raise ValueError(f"max_weight capped at 6: {max_weight}")
-    catalog = _single_root_catalog(max_vertices, max_weight)
-    sizes = [size for _, size in catalog]
-    placed = [[place(key, base) for base in range(max_vertices - size + 1)]
-              for key, size in catalog]
-    fits = [[i for i, size in enumerate(sizes) if size <= room]
-            for room in range(max_vertices + 1)]
 
-    def extend(prefix: Piece, start: int, used: int, room: int) -> Iterator[Piece]:
-        candidates = fits[room]
-        for i in candidates[bisect_left(candidates, start):]:
-            forest = prefix + placed[i][used]
-            if room == sizes[i]:
-                yield forest
-            else:
-                yield from extend(forest, i, used + sizes[i], room - sizes[i])
+    def walk() -> Iterator[list[Piece]]:
+        trees = [(i, size, place(key, max_vertices - size + 1))
+                 for i, (key, size) in enumerate(_single_root_catalog(max_vertices, max_weight))]
+        fits = [[tree for tree in trees if tree[1] <= room] for room in range(max_vertices + 1)]
+        batch: list[Piece] = []
 
-    for total in range(1, max_vertices + 1):
-        yield from extend(empty, 0, 0, total)
+        def extend(prefix: Piece, start: int, used: int, room: int) -> Iterator[list[Piece]]:
+            nonlocal batch
+            candidates = fits[room]
+            for i, size, placed in candidates[bisect_left(candidates, (start,)):]:
+                forest = prefix + placed[used]
+                if room == size:
+                    batch.append(forest)
+                    if len(batch) == 512:
+                        yield batch
+                        batch = []
+                else:
+                    yield from extend(forest, i, used + size, room - size)
+
+        for total in range(1, max_vertices + 1):
+            yield from extend(empty, 0, 0, total)
+        yield batch
+
+    return walk()
 
 
 def enumerate_diagrams(max_vertices: int, max_weight: int) -> Iterator[EnriquesDiagram]:
@@ -441,45 +463,47 @@ def enumerate_diagrams(max_vertices: int, max_weight: int) -> Iterator[EnriquesD
     of tree keys), so ``(len(d), canonical_key(d))`` strictly increases.
     Multi-root diagrams are included (a forest is a multiset of its trees).
     Each diagram is built as it is yielded; only the single-root catalog,
-    each tree numbered for the positions it takes in a forest, is held in
-    memory.  Every yielded diagram passes validate.
+    each tree numbered for the positions it takes in a forest, and up to
+    512 forests are held in memory.  Every yielded diagram passes validate.
 
     Exhaustive at desk scale; the limits are capped at 7 vertices and
-    weight 6.  Limits below 1 yield nothing.
+    weight 6, and checked at the call.  Limits below 1 yield nothing.
     """
-    return map(EnriquesDiagram, _forest_walk(max_vertices, max_weight, _tree, ()))
+    walk = _forest_walk(max_vertices, max_weight,
+                        lambda key, count: [_tree(key, base) for base in range(count)], ())
+    return map(EnriquesDiagram, chain.from_iterable(walk))
 
 
 def enumeration_text(max_vertices: int, max_weight: int) -> Iterator[str]:
     """``to_text`` of each ``enumerate_diagrams`` diagram, lines joined by "; ".
 
-    Each placed tree is formatted once, and forests share their prefixes.
+    Each tree is formatted from one template per tree, once per position it
+    takes, and forests share their prefixes; no ``Vertex`` is built.
     """
-    return _forest_walk(max_vertices, max_weight, _text_piece, "")
+    return chain.from_iterable(_forest_walk(max_vertices, max_weight, _placed_texts, ""))
 
 
-def _text_piece(key: TreeKey, base: int) -> str:
-    """The tree's text lines from ``base``, "; "-joined; a tree placed after
-    another (``base`` > 0) carries the separator in front."""
-    lines = "; ".join(_vertex_lines(_tree(key, base), base))
-    return f"; {lines}" if base else lines
+def _placed_texts(key: TreeKey, count: int) -> list[str]:
+    """The tree's text lines, "; "-joined, with its root at each index below
+    ``count``; a tree placed after another carries the separator in front."""
+    rows = _rows(key, "{{{}}}".format)  # ids are the template's format fields
+    template = "; ".join(starmap(_line, rows))
+    return [("; " + template if base else template).format(*range(base, base + len(rows)))
+            for base in range(count)]
 
 
 # -- text format ------------------------------------------------------------
 
 
-def _vertex_lines(vertices: tuple[Vertex, ...], base: int = 0) -> list[str]:
-    """``id weight parent|- remote|-`` per vertex, ids counted from ``base``."""
-    return [
-        f"{i} {v.weight} {'-' if v.parent is None else v.parent} "
-        f"{'-' if v.remote is None else v.remote}"
-        for i, v in enumerate(vertices, base)
-    ]
+def _line(i: int | str, weight: int, parent: int | str | None, remote: int | str | None) -> str:
+    """One vertex of the text format: ``id weight parent|- remote|-``."""
+    return f"{i} {weight} {'-' if parent is None else parent} {'-' if remote is None else remote}"
 
 
 def to_text(diagram: EnriquesDiagram) -> str:
     """One vertex per line: ``id weight parent|- remote|-``."""
-    return "\n".join(_vertex_lines(diagram.vertices)) + "\n"
+    return "".join(_line(i, v.weight, v.parent, v.remote) + "\n"
+                   for i, v in enumerate(diagram.vertices))
 
 
 def from_text(text: str) -> EnriquesDiagram:

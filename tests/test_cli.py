@@ -10,6 +10,8 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +19,7 @@ import pytest
 
 import nodepoly
 from nodepoly.cli import BATCH, EXIT_BROKEN_PIPE, FORMATS, OutputRecord, emit, run
-from nodepoly.enriques import named_diagram, to_text
+from nodepoly.enriques import _single_root_catalog, named_diagram, to_text
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
@@ -36,6 +38,11 @@ ENUMERATE_6_5_SHA256 = {
     "json": "642d3e362e2485055b7d8c00f6993610e8b963ffa539112c83a860939aa5d8a5",
     "csv": "840962946d0ae58673ac1328fcb1ad0dd8d69ba5655a309132e8539c8d1e670c",
 }
+
+
+#: SHA-256 of the cap, ``--max-v 7 --max-w 6 --format json``, as
+#: ``perfbench/reference.json`` records it.
+ENUMERATE_7_6_JSON_SHA256 = "5f1b5c3031379d0977f56eae726ae2831d1e1f1b21cbb3b22c253a3dcaa485f8"
 
 
 #: Refused commands, each with a fragment of its error message.
@@ -95,6 +102,20 @@ class CountingStream(io.StringIO):
     def write(self, text: str) -> int:
         self.writes += 1
         return super().write(text)
+
+
+class HashingStream(io.TextIOBase):
+    """A text stream that keeps only the SHA-256 and the line count of its text."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sha256 = hashlib.sha256()
+        self.lines = 0
+
+    def write(self, text: str) -> int:
+        self.sha256.update(text.encode())
+        self.lines += text.count("\n")
+        return len(text)
 
 
 def readme_examples() -> list[list[str]]:
@@ -279,6 +300,19 @@ class TestFormats:
         assert len(expected) == 6 * len(results) + 5
         assert out.getvalue().splitlines() == expected
 
+    def test_json_run_breaks_at_a_batch_boundary(self):
+        """Shared fields that change at line ``BATCH`` and again at line ``BATCH + 1``."""
+        shared = {"max-v": 7, "max-w": 6}
+        records = [OutputRecord("enriques", shared, f"r{i}", None, "a") for i in range(BATCH - 1)]
+        records.append(OutputRecord("enriques", shared, "last", "in range", "a"))
+        equal = {"max-v": 7.0, "max-w": 6}  # equal to ``shared``, yet encoded otherwise
+        records += [OutputRecord("enriques", equal, i, None, "a") for i in range(BATCH + 1)]
+        stream = CountingStream()
+        emit(records, "json", stream)
+        assert stream.writes <= 3
+        lines = stream.getvalue().splitlines()
+        assert lines == [json.dumps(r._asdict(), sort_keys=True) for r in records]
+
     def test_text_alignment(self, capsys):
         _, out = invoke(capsys, "plane", "--table")
         lines = out.splitlines()
@@ -338,6 +372,26 @@ class TestEnriques:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_6_5_SHA256[fmt]
+
+    def test_cap_pinned_in_flat_memory(self, monkeypatch):
+        """The cap streamed in-process: its line count and SHA-256, a traced peak
+        well below the 18 MB that a list of its texts alone would take, and the
+        single-root catalog it is built from, counted by tree size."""
+        stream = HashingStream()
+        monkeypatch.setattr("sys.stdout", stream)
+        tracemalloc.start()
+        try:
+            code = run(["enriques", "enumerate", "--max-v", "7", "--max-w", "6",
+                        "--format", "json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert stream.lines == 135372
+        assert stream.sha256.hexdigest() == ENUMERATE_7_6_JSON_SHA256
+        assert peak < 8 * 2**20
+        sizes = Counter(size for _, size in _single_root_catalog(7, 6))
+        assert sizes == {1: 5, 2: 15, 3: 64, 4: 208, 5: 532, 6: 1117, 7: 2083}
 
     def test_error_mid_stream_is_reported(self, capsys, monkeypatch):
         def failing(max_v, max_w):

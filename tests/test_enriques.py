@@ -211,6 +211,11 @@ class TestEnumeration:
                 list(enumeration(8, 3))
             with pytest.raises(ValueError, match="max_weight capped at 6"):
                 list(enumeration(3, 7))
+            # checked at the call, before a diagram is asked for
+            with pytest.raises(ValueError, match="max_vertices capped at 7"):
+                enumeration(8, 3)
+            with pytest.raises(ValueError, match="max_weight capped at 6"):
+                enumeration(3, 7)
 
     @pytest.mark.parametrize("v,w", [(0, 3), (3, 0), (-1, -1), (0, 0)])
     def test_limits_below_one_are_empty(self, v, w):
