@@ -11,9 +11,9 @@ to an ``int`` when integral, else to a ``Fraction``; values (``evaluate``,
 ``constant_value``) are ``Fraction``.  This module is the arithmetic
 substrate for the whole package and never touches floating point.
 
-Two polynomials over different variable contexts are reconciled by extending
-each to the union context with zero exponents, so ``v + q1`` just works.
-Equality is semantic: it compares term maps after reconciliation.
+Two polynomials over different variable contexts are reconciled by extending each to
+the union context with zero exponents, so ``v + q1`` just works; ``in_one_context`` does
+so once for an evaluation's images.  Equality is semantic: it compares reconciled terms.
 
 The canonical text form sorts terms by graded-lexicographic order on exponent
 vectors, highest first, and prints coefficients as ``num/den`` with the
@@ -321,20 +321,11 @@ class Poly:
         """Apply the ring homomorphism sending each variable to its image.
 
         Variables absent from ``mapping`` map to themselves.  The identity
-        mapping returns an equal polynomial.  All images are moved into one
-        context first, so no product of the evaluation reconciles contexts.
+        mapping returns an equal polynomial.  ``in_one_context`` moves all images into
+        one context first, so no product of the evaluation reconciles contexts.
         """
-        images: dict[str, Poly] = {}
-        for v in self._variables:
-            img = mapping.get(v, None)
-            if img is None:
-                img = Poly.variable(v)
-            elif isinstance(img, (int, Fraction)):
-                img = Poly.constant(img)
-            images[v] = img
-        union = tuple(dict.fromkeys(w for img in images.values() for w in img._variables))
-        images = {v: img.in_context(union) for v, img in images.items()}
-        return evaluate_in(self, images, Poly.constant(1, union))
+        images = {v: mapping[v] if v in mapping else Poly.variable(v) for v in self._variables}
+        return evaluate_in(self, *in_one_context(images))
 
     def divrem(self, divisor: Poly, var: str) -> tuple[Poly, Poly]:
         """Long division in ``var`` over the remaining-variable coefficient ring.
@@ -499,6 +490,14 @@ def parse(text: str, variables: Iterable[str] | None = None) -> Poly:
         key = tuple(exps.get(v, 0) for v in ctx)
         terms[key] = terms.get(key, 0) + coeff
     return Poly(ctx, terms)
+
+
+def in_one_context(images: Mapping[str, Poly | Scalar]) -> tuple[dict[str, Poly], Poly]:
+    """Each image, a polynomial or a scalar, over the union of the images' contexts, and the
+    1 of that context: the one context step before every evaluation at images."""
+    polys = {v: img if isinstance(img, Poly) else Poly.constant(img) for v, img in images.items()}
+    union = tuple(dict.fromkeys(w for img in polys.values() for w in img._variables))
+    return {v: img.in_context(union) for v, img in polys.items()}, Poly.constant(1, union)
 
 
 def evaluate_in(poly: Poly, values: Mapping[str, Any], one: Any) -> Any:

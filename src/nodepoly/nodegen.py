@@ -20,8 +20,8 @@ quintic plane curves through 12 general points; the suite checks that.
 ``node_polynomial(q)`` builds b_q on demand from b_1..b_{q-1} and caches
 it, and each Q(i, b_j) is cached by (i, j): b_8 costs eleven transforms.
 
-x2, x3 and x4 are fixed input data, embedded verbatim below; the tests pin
-their term counts (3, 9 and 24) against transcription slips.
+x2, x3 and x4 are fixed input data, embedded verbatim below.  The tests derive x2 and
+x3 as top Chern classes of jet bundles, and x4 up to its v^5*w1^3*w2 coefficient (29).
 """
 
 from __future__ import annotations

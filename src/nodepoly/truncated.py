@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from .exactpoly import Exponents, Poly, Scalar, evaluate_in
+from .exactpoly import Exponents, Poly, Scalar, evaluate_in, in_one_context
 
 
 class Truncated:
@@ -80,7 +80,8 @@ def pushforward(
     cap: int,
     table: Mapping[Exponents, Poly | Scalar],
 ) -> Poly:
-    """``poly`` evaluated at ``images`` modulo the monomials above ``cap``, then
-    integrated through ``table``: the pushforward of one back end."""
-    values = {v: Truncated(image, weights, cap) for v, image in images.items()}
-    return evaluate_in(poly, values, Truncated(1, weights, cap)).integrate(table)
+    """``poly`` evaluated at ``images``, moved into one context by ``in_one_context``, modulo
+    the monomials above ``cap``, then integrated through ``table``: one back end's pushforward."""
+    values, one = in_one_context(images)
+    values = {v: Truncated(value, weights, cap) for v, value in values.items()}
+    return evaluate_in(poly, values, Truncated(one, weights, cap)).integrate(table)

@@ -257,3 +257,18 @@ class TestSetupAndValidity:
     def test_unknown_surface(self):
         with pytest.raises(ValueError):
             k_very_ample_ok("rational", 1, 10, 1)
+
+    @pytest.mark.parametrize(
+        "call,fragment",
+        [
+            (lambda: nodal_locus_class(9), "r must be in 0..8: 9"),
+            (lambda: divisor_sum(0), "k must be positive: 0"),
+            (lambda: bryan_leung_count(3, -1), "r must be non-negative: -1"),
+            (lambda: abelian_validity(0, 3, 1), "class multiple must be positive: 0"),
+            (lambda: k_very_ample_ok("k3", 0, 8, 1), "class multiple must be positive: 0"),
+        ],
+        ids=["nodal-locus-r", "divisor-sum-k", "bryan-leung-r", "validity-m", "kva-m"],
+    )
+    def test_refused_with_its_message(self, call, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            call()

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -18,7 +20,9 @@ from pathlib import Path
 import pytest
 
 import nodepoly
-from nodepoly.cli import BATCH, EXIT_BROKEN_PIPE, FORMATS, OutputRecord, emit, run
+from nodepoly.cli import (
+    BATCH, EXIT_BROKEN_PIPE, FORMATS, MODES, OutputRecord, build_parser, emit, run,
+)
 from nodepoly.enriques import _single_root_catalog, named_diagram, to_text
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -152,6 +156,43 @@ class TestReadme:
         assert out.splitlines() == [json.dumps(r._asdict(), sort_keys=True) for r in returned]
 
 
+def readme_mode_rows() -> list[list[str]]:
+    """The cells of the ``| command | mode | needs | may take |`` rows of README's mode table."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| command    | mode ", 1)[1].split("\n\n", 1)[0]
+    return [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in table.splitlines()[2:]]
+
+
+def _flags(cell: str) -> tuple[str, ...]:
+    """The flags a table cell names, in order; "a diagram file" is the ``file`` argument."""
+    return ("file",) if cell == "a diagram file" else tuple(re.findall(r"--[a-z-]+", cell))
+
+
+class TestModeTable:
+    def test_rows_are_the_modes(self):
+        rows = {(cmd.strip("`"), "" if mode == "(default)" else mode.strip("`")):
+                (_flags(needs), _flags(may)) for cmd, mode, needs, may in readme_mode_rows()}
+        assert rows == {(cmd, mode): (needs, may) for cmd, modes in MODES.items()
+                        for mode, (needs, may, _) in modes.items()}
+
+    def test_ranges_are_the_parser_choices(self):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for cmd, _, needs, may in readme_mode_rows():
+            parser = subparsers.choices[cmd.strip("`")]
+            listed = {flag: range(int(lo), int(hi) + 1) for flag, lo, hi
+                      in re.findall(r"`(--[a-z-]+)` (\d+)\.\.(\d+)", needs + may)}
+            ranged = {flag for flag in _flags(needs) + _flags(may) if flag != "file"
+                      and isinstance(parser._option_string_actions[flag].choices, range)}
+            assert set(listed) == ranged, cmd
+            for flag, choices in listed.items():
+                assert parser._option_string_actions[flag].choices == choices, (cmd, flag)
+        checked = {flag for *_, needs, may in readme_mode_rows()
+                   for flag in re.findall(r"`(--[a-z-]+)` \d", needs + may)}
+        assert checked == {"--q", "--r", "--max-v", "--max-w"}
+
+
 class TestCounts:
     def test_plane_count(self, capsys):
         code, out = invoke(capsys, "plane", "--r", "8", "--m", "5")
@@ -183,6 +224,19 @@ class TestCounts:
     def test_abelian_numeric(self, capsys):
         code, out = invoke(capsys, "abelian", "--r", "2", "--g", "3", "--format", "json")
         assert json.loads(out)["result"] == 180
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_abelian_polynomial_without_g(self, capsys, fmt):
+        code, out = invoke(capsys, "abelian", "--r", "2", "--format", fmt)
+        expected = (GOLDEN / "abelian_table.txt").read_text().splitlines()[2]
+        assert code == 0 and expected == "18*g^3 - 42*g^2 + 24*g"
+        if fmt == "json":
+            (record,) = map(json.loads, out.splitlines())
+            assert record == {"command": "abelian", "inputs": {"r": 2}, "result": expected,
+                              "valid": None, "ref": "abelian-count"}
+        else:
+            (line,) = out.splitlines()
+            assert expected in line and "abelian-count" in line
 
     def test_abelian_oracle(self, capsys):
         code, out = invoke(

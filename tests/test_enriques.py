@@ -98,6 +98,26 @@ class TestValidate:
         violation = validate(EnriquesDiagram((Vertex(0),)))
         assert violation is not None and violation.axiom == "positive-weight"
 
+    def test_root_with_a_remote(self):
+        diagram = from_text("0 2 - -\n1 1 - 0")
+        violation = validate(diagram)
+        assert (violation.axiom, violation.vertex) == ("remote-proximity", 1)
+        assert violation.detail == "a root cannot have a remote proximity"
+        with pytest.raises(ValueError, match="a root cannot have a remote proximity"):
+            invariants(diagram)
+
+    @pytest.mark.parametrize(
+        "vertex,fragment",
+        [
+            (Vertex(1, parent=1), "vertex 1: parent 1 does not precede it"),
+            (Vertex(1, parent=-1), "vertex 1: parent -1 does not precede it"),
+            (Vertex(1, parent=0, remote=2), "vertex 1: remote 2 does not precede it"),
+        ],
+    )
+    def test_links_must_precede_their_vertex(self, vertex, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            EnriquesDiagram((Vertex(2), vertex))
+
 
 class TestInvariants:
     def test_a1(self):

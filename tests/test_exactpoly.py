@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nodepoly
-from nodepoly.exactpoly import MAX_EXPONENT, ExactnessError, Poly, integer, parse
+from nodepoly.exactpoly import (
+    MAX_EXPONENT, ExactnessError, Poly, in_one_context, integer, parse,
+)
 
 V = Poly.variable
 C = Poly.constant
@@ -85,6 +88,11 @@ class TestSubstitute:
         v, e = V("v"), V("e")
         p = (v * v).substitute({"v": v - 2 * e})
         assert p == parse("v^2 - 4*v*e + 4*e^2", ("v", "e"))
+
+    def test_images_move_into_one_context(self):
+        values, one = in_one_context({"v": parse("c + h"), "w1": 3, "w2": parse("K*h")})
+        assert {p.variables for p in (*values.values(), one)} == {("c", "h", "K")}
+        assert values == {"v": parse("c + h"), "w1": 3, "w2": parse("K*h")} and one == 1
 
     def test_identity_map(self):
         p = parse("v^3 + v^2*w1 + v*w2", VARS)
@@ -524,3 +532,22 @@ class TestExponentCap:
         p = Poly(("x", "y"), {(2**30, 3): 1}) * Poly(("x", "y"), {(2**30 - 1, 2): 1})
         assert p.terms == {(MAX_EXPONENT, 5): 1}
         assert str(p) == f"x^{MAX_EXPONENT}*y^5"
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call,fragment",
+        [
+            (lambda: Poly(("v", "w1", "v"), {}), "duplicate variable in context"),
+            (lambda: V("w2", ("v", "w1")), "variable 'w2' not in context"),
+            (lambda: parse("v + 1").constant_value(), "not a constant polynomial"),
+            (lambda: parse("v*w1").in_context(("v",)), "cannot drop used variable 'w1'"),
+            (lambda: V("v") ** -1, "exponent must be a non-negative integer: -1"),
+            (lambda: V("v") ** 2.0, "exponent must be a non-negative integer: 2.0"),
+        ],
+        ids=["repeated-variable", "variable-outside", "non-constant", "drop-used",
+             "negative-power", "non-int-power"],
+    )
+    def test_refused_with_its_message(self, call, fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            call()
