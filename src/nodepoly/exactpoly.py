@@ -29,7 +29,7 @@ from functools import reduce
 from math import gcd, lcm
 from operator import or_
 from types import MappingProxyType
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 Scalar = int | Fraction
 
@@ -79,14 +79,9 @@ def _shifts(n: int) -> range:
     return range(_SLOT_BITS * (n - 1), -1, -_SLOT_BITS)
 
 
-def _repacked(num: dict[int, int], moves: Iterable[tuple[int, int]]) -> dict[int, int]:
+def _repacked(num: dict[int, int], moves: Sequence[tuple[int, int]]) -> dict[int, int]:
     """The terms with each kept slot moved from its old shift to its new one."""
-    masks: dict[int, int] = {}  # slots that move by the same offset move together
-    for old, new in moves:
-        masks[new - old] = masks.get(new - old, 0) | _SLOT << old
-    runs = [(mask, max(d, 0), max(-d, 0)) for d, mask in masks.items()]
-    return {sum((k & mask) << left >> right for mask, left, right in runs): c
-            for k, c in num.items()}
+    return {sum((k >> old & _SLOT) << new for old, new in moves): c for k, c in num.items()}
 
 
 class Poly:
@@ -116,15 +111,9 @@ class Poly:
     @classmethod
     def _new(cls, variables: tuple[str, ...], num: dict[int, int], den: int = 1) -> Poly:
         """Trusted: nonzero numerators over a positive ``den``, reduced by their common factor."""
-        if den != 1:
-            g = den
-            for c in num.values():
-                g = gcd(g, c)
-                if g == 1:
-                    break
-            else:
-                num = {k: c // g for k, c in num.items()}
-                den //= g
+        if den != 1 and (g := gcd(den, *num.values())) != 1:
+            num = {k: c // g for k, c in num.items()}
+            den //= g
         poly = object.__new__(cls)
         poly._variables, poly._num, poly._den = variables, num, den
         return poly
@@ -185,8 +174,8 @@ class Poly:
 
     def degree_in(self, var: str) -> int:
         """Largest exponent of ``var``; 0 for the zero polynomial."""
-        s = _shifts(len(self._variables))[self._index(var)]
-        return max((k >> s & _SLOT for k in self._num), default=0)
+        self._index(var)  # a KeyError for a variable outside the context
+        return max(self._degrees({var: 1}), default=0)
 
     def _index(self, var: str) -> int:
         try:
@@ -335,17 +324,16 @@ class Poly:
         Returns (quotient, remainder) with self = quotient*divisor + remainder
         and degree_var(remainder) < degree_var(divisor), all exact.
         """
-        ctx = tuple(dict.fromkeys(self._variables + divisor._variables))
-        p = self.in_context(ctx)
-        d = divisor.in_context(ctx)
+        p, d = self._aligned(divisor)
+        ctx = p._variables
         n = d.degree_in(var)
-        if d.coefficient_of(var, n) != Poly.constant(1):
+        if d.coefficient_of(var, n) != 1:
             raise ValueError(f"divisor is not monic in {var!r}: {divisor}")
         s = _shifts(len(ctx))[ctx.index(var)]
         quotient = Poly.zero(ctx)
         rem = p
-        while not rem.is_zero() and rem.degree_in(var) >= n:
-            k = rem.degree_in(var)  # t: the var^k terms of rem, divided by var^n
+        while not rem.is_zero() and (k := rem.degree_in(var)) >= n:
+            # t: the var^k terms of rem, divided by var^n
             lead = {key: c for key, c in rem._num.items() if key >> s & _SLOT == k}
             t = Poly._new(ctx, {key - (n << s): c for key, c in lead.items()}, rem._den)
             quotient = quotient + t
@@ -374,11 +362,13 @@ class Poly:
         rest = tuple(v for v in self._variables if v != var)
         return self.coefficients_in((var,)).get((k,), Poly.zero()).in_context(rest)
 
-    def _degrees(self, weights: Mapping[str, int]) -> Iterator[int]:
+    def _degrees(self, weights: Mapping[str, int]) -> list[int]:
         """The weighted degree of each term, in storage order; unweighted variables count 0."""
-        shifts = _shifts(len(self._variables))
-        slots = [(s, weights[v]) for v, s in zip(self._variables, shifts) if v in weights]
-        return (sum((k >> s & _SLOT) * w for s, w in slots) for k in self._num)
+        degrees = [0] * len(self._num)
+        for v, s in zip(self._variables, _shifts(len(self._variables))):
+            if v in weights:  # one pass over the terms per weighted slot
+                degrees = [d + (k >> s & _SLOT) * weights[v] for d, k in zip(degrees, self._num)]
+        return degrees
 
     def truncated(self, weights: Mapping[str, int], cap: int) -> Poly:
         """This polynomial without its monomials of weighted degree above ``cap``.
@@ -420,11 +410,11 @@ class Poly:
             )
             mag = Fraction(abs(c), self._den)
             if not mono:
-                body = _format_fraction(mag)
+                body = str(mag)
             elif mag == 1:
                 body = mono
             else:
-                body = f"{_format_fraction(mag)}*{mono}"
+                body = f"{mag}*{mono}"
             if idx == 0:
                 pieces.append(body if c > 0 else f"-{body}")
             else:
@@ -433,12 +423,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self._variables!r}, {self})"
-
-
-def _format_fraction(value: Scalar) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 #: One factor of a term: a number ``n`` or ``n/d``, whose denominator has a

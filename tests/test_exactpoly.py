@@ -470,6 +470,10 @@ class TestDifferential:
             assert (p / c).terms == {e: v / c for e, v in a.items()}
         moved = {(w2, 0, v, w1): x for (v, w1, w2), x in a.items()}
         assert p.in_context(("w2", "u", "v", "w1")).terms == moved
+        inserted = p.in_context(("v", "u", "w1", "w2"))  # a variable in the middle
+        assert inserted.terms == {(v, 0, w1, w2): x for (v, w1, w2), x in a.items()}
+        reversed_ = inserted.in_context(("w2", "w1", "v"))  # drops u, reverses the rest
+        assert reversed_.terms == {(w2, w1, v): x for (v, w1, w2), x in a.items()}
         coeff = _clean({(v, w2): x for (v, w1, w2), x in a.items() if w1 == k})
         assert p.coefficient_of("w1", k).terms == coeff
         assert p.evaluate(dict(zip(VARS, point))) == _ref_evaluate(a, point)

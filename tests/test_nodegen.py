@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nodepoly import nodegen
+from nodepoly import grassmann, nodegen
+from nodepoly.bell import bell_value, nodal_class
 from nodepoly.cli import run
 from nodepoly.exactpoly import Poly, parse
+from nodepoly.grassmann import grass_aq, grass_integrate
 from nodepoly.nodegen import (
     CLASS_VARIABLES,
     CLASS_WEIGHTS,
@@ -26,7 +28,10 @@ from nodepoly.nodegen import (
     node_polynomials,
     q_transform,
 )
+from nodepoly.surface import ChernNumbers
+from nodepoly.truncated import Truncated, pushforward
 from oracles import jet_bundle_top_class
+from test_surface import pushforward_monomial
 
 #: ``str(b_q)`` for q = 1..8, one line each, recorded from the generator
 #: while every coefficient was still stored as a ``Fraction``.
@@ -136,6 +141,107 @@ class TestJetBundles:
                 assert difference == 0
         assert len(multiples) == 1
         assert multiples.pop().denominator == 1
+
+
+#: The images of v, w1, w2 in ``grassmann.grass_aq``.
+PLANE_BUNDLE_IMAGES = {
+    "v": parse("m*f"), "w1": parse("q1 - 3*f"), "w2": parse("q2 - 2*f*q1 + 3*f^2"),
+}
+
+#: Degree-3 integrals on G(3, 4), the dual P^3, keyed as (e_q1, e_q2): there
+#: c(S*) = 1 + H + H^2 + H^3, so q1^3 and q1*q2 both integrate to 1.
+G34_INTEGRALS = {(3, 0): 1, (1, 1): 1}
+
+#: The 1 of the Grassmannian classes.
+GRASS_ONE = Poly.constant(1, grassmann._CONTEXT)
+
+
+def on_g34(cls: Poly) -> Poly:
+    """A degree-3 class in q1, q2 (coefficients in m) integrated over G(3, 4)."""
+    return Truncated(cls, grassmann._BASE, 3).integrate(G34_INTEGRALS)
+
+
+def class_monomials(q: int) -> list[tuple[int, int, int]]:
+    """The exponents (a, b, c) of the monomials v^a*w1^b*w2^c of weighted degree q + 2."""
+    degree = q + 2
+    return [(degree - b - 2 * c, b, c)
+            for c in range(degree // 2 + 1) for b in range(degree - 2 * c + 1)]
+
+
+def rank(columns: list[dict]) -> int:
+    """The rank of the matrix with these columns, each a map from row keys to
+    rationals, by exact Gaussian elimination."""
+    keys = {key for column in columns for key in column}
+    rows = [[Fraction(column.get(key, 0)) for column in columns] for key in keys]
+    found = 0
+    for j in range(len(columns)):
+        pivot = next((i for i in range(found, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[found], rows[pivot] = rows[pivot], rows[found]
+        top = rows[found]
+        for i in range(found + 1, len(rows)):
+            if rows[i][j]:
+                factor = rows[i][j] / top[j]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], top)]
+        found += 1
+    return found
+
+
+class TestWhatTheChecksSee:
+    """How many directions of each b_q's coefficient space the independent checks see.
+
+    The checks: the plane a_q (Caporaso–Harris), the K3 a_q with k = s = 0
+    (Bryan–Leung), the degree-18 and degree-9 p4 polynomials (Bott residues)
+    and Salmon's plane-section counts over G(3, 4).  To first order, a change
+    db_q changes a_q by its pushforward da_q, and a count P_r(a)/r! by
+    P_{r-q}(a)/((r-q)!*q!) * da_q.  Each monomial of b_q gives one column; each
+    coefficient of a checked polynomial in m (on the K3, m stands for d) one row.
+    A fixed surface integrates every monomial with b + 2c > 2 to 0, and b_7,
+    b_8 enter no Grassmannian count, so those two are seen in 4 directions
+    only.  Without the plane, K3 or degree-18 rows, some rank drops; the
+    degree-9 and Salmon rows add no direction at first order.
+    """
+
+    DIMS = (6, 9, 12, 16, 20, 25, 30, 36)
+    SEEN = (4, 6, 9, 11, 9, 9, 4, 4)
+
+    @staticmethod
+    def columns(q: int) -> list[dict]:
+        m, q1 = Poly.variable("m"), Poly.variable("q1")
+        a = [grass_aq(j) for j in range(1, 7 - q)]
+
+        def derivative(r: int, da: Poly) -> Poly:  # d(P_r/r!)/da_q times da
+            scale = Fraction(1, factorial(r - q) * factorial(q))
+            return bell_value(r - q, a, GRASS_ONE) * scale * da
+
+        columns = []
+        for exps in class_monomials(q):
+            checked = {
+                "plane": pushforward_monomial(*exps, ChernNumbers.plane()),
+                "K3": pushforward_monomial(*exps, ChernNumbers.of(m, 0, 0, 24)),  # d = m
+            }
+            if q <= 6:
+                db = Poly(CLASS_VARIABLES, {exps: 1})
+                da = pushforward(db, PLANE_BUNDLE_IMAGES, grassmann._FIBER, grassmann._FIBER_CAP,
+                                 grassmann._FIBER_INTEGRALS)
+                checked["degree 18"] = grass_integrate(derivative(6, da))
+            if q <= 3:
+                checked["degree 9"] = grass_integrate(derivative(3, da) * q1**3)
+                for r in range(q, 4):  # r nodes, the plane through 3 - r points
+                    checked[f"Salmon r={r}"] = on_g34(derivative(r, da) * q1 ** (3 - r))
+            columns.append({(name, key): c for name, poly in checked.items()
+                            for key, c in poly.terms.items()})
+        return columns
+
+    def test_rank_of_the_first_order_map(self):
+        columns = [self.columns(q) for q in range(1, 9)]
+        assert tuple(len(c) for c in columns) == self.DIMS
+        assert tuple(rank(c) for c in columns) == self.SEEN
+
+    def test_g34_table_gives_salmons_tritangent_planes(self):
+        count = on_g34(nodal_class([grass_aq(q) for q in range(1, 4)], GRASS_ONE))
+        assert [count.evaluate({"m": m}) for m in (3, 4)] == [45, 3200]
 
 
 class TestQTransform:

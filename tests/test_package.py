@@ -124,6 +124,16 @@ def test_no_module_checks_with_assert():
     assert found == []
 
 
+def test_no_module_line_is_over_100_characters():
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted(Path(nodepoly.__file__).parent.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if len(line) > 100
+    ]
+    assert found == []
+
+
 def _imported_packages(node: ast.AST) -> list[str]:
     if isinstance(node, ast.Import):
         return [alias.name.partition(".")[0] for alias in node.names]
