@@ -3,9 +3,9 @@
 Subcommands mirror the library: ``bq`` dumps the node polynomials,
 ``plane`` / ``p4`` / ``abelian`` run the three geometric back ends,
 ``enriques`` checks and enumerates diagrams, and ``validity`` evaluates the
-range predicates.  Every command emits a stream of records with a fixed
-shape (command, inputs, result, validity annotation, reference tag) in
-aligned text, JSON lines, or CSV.  Output is deterministic byte for byte.
+range predicates.  Every command emits runs of records (``OutputRecord``:
+command, inputs, results, validity annotation, reference tag), one line per
+result in aligned text, JSON lines, or CSV, deterministic byte for byte.
 
 ``MODES`` lists each subcommand's modes with the options each one needs and
 may take, and its handler.  A mode is chosen by its flag (``plane --table``),
@@ -26,9 +26,7 @@ import argparse
 import io
 import os
 import sys
-from functools import partial
-from itertools import groupby, islice, repeat
-from operator import attrgetter
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from . import abelian, grassmann, surface
@@ -43,15 +41,13 @@ EXIT_BROKEN_PIPE = 141
 
 
 class OutputRecord(NamedTuple):
+    """A run of results that share their command, inputs, validity and reference."""
+
     command: str
     inputs: dict[str, int | str]
-    result: int | str
+    results: Iterable[int | str]
     valid: str | None
     ref: str
-
-
-def _fmt_inputs(inputs: dict[str, int | str]) -> str:
-    return " ".join(f"{k}={v}" for k, v in inputs.items())
 
 
 #: lines per ``write`` to the output: few system calls even unbuffered, flat memory
@@ -59,60 +55,69 @@ BATCH = 512
 
 
 def emit(records: Iterable[OutputRecord], fmt: str, out: io.TextIOBase) -> None:
-    """Write the records ``BATCH`` lines to a ``write``, and those taken also on failure.
+    """Write the runs' lines ``BATCH`` to a ``write``, and those taken also on failure.
 
-    json and csv stream the records, so memory stays flat at any count; text
-    collects them to align its columns.  Each format encodes a batch of
-    records at a time, so the number of writes is the same with or without
-    ``-u`` (``PYTHONUNBUFFERED``); csv writes its header on its own first.
+    A command emits runs of records: each ``OutputRecord`` holds the results, a
+    line each, that share its other fields, which are formatted once per run.
+    json and csv stream the results, so memory stays flat; text collects them
+    to align its columns.  The writes are as many with or without ``-u``
+    (``PYTHONUNBUFFERED``); csv writes its header on its own first.
     """
     if fmt == "json":
         import json
         line = json.JSONEncoder(sort_keys=True).encode  # as json.dumps(..., sort_keys=True)
-        encode = partial(_json_lines, line=line)
+
+        def shared(r: OutputRecord) -> tuple[str, str]:
+            head = line({"command": r.command, "inputs": r.inputs, "ref": r.ref})[:-1]
+            return head + ', "result": ', ', "valid": ' + line(r.valid) + "}\n"
+
+        def lines(head: str, tail: str, results: list) -> str:
+            return head + (tail + head).join(map(line, results)) + tail
     else:
-        records = ((r.command, _fmt_inputs(r.inputs), str(r.result), r.valid or "", r.ref)
-                   for r in records)
+        def shared(r: OutputRecord) -> tuple[str, str, str, str]:
+            inputs = " ".join(f"{k}={v}" for k, v in r.inputs.items())
+            return r.command, inputs, r.valid or "", r.ref
+
         if fmt == "csv":
             import csv
 
-            def encode(rows: list) -> str:
+            def lines(command: str, inputs: str, valid: str, ref: str, results: list) -> str:
                 text = io.StringIO()
-                csv.writer(text, lineterminator="\n").writerows(rows)
+                csv.writer(text, lineterminator="\n").writerows(
+                    (command, inputs, str(result), valid, ref) for result in results)
                 return text.getvalue()
 
-            out.write(encode([("command", "inputs", "result", "valid", "ref")]))
+            out.write("command,inputs,result,valid,ref\n")
         else:
-            records = list(records)
-            widths = [max((len(row[i]) for row in records), default=0) for i in range(4)]
+            runs = [(shared(r), list(map(str, r.results))) for r in records]
+            widths = [max(column) for column in zip(*(
+                (len(command), len(inputs), max(map(len, results)), len(valid))
+                for (command, inputs, valid, _), results in runs if results))]
 
-            def encode(rows: list) -> str:
-                return "".join("  ".join([*map(str.ljust, row, widths), row[4]]).rstrip()
-                               + "\n" for row in rows)
+            def lines(command: str, inputs: str, valid: str, ref: str, results: list) -> str:
+                return "".join("  ".join([*map(str.ljust, (command, inputs, result, valid), widths),
+                                          ref]).rstrip() + "\n" for result in results)
 
-    records, taken = iter(records), []
+    def encode(parts: list[tuple[tuple, list]]) -> str:
+        return "".join(lines(*fields, taken) for fields, taken in parts if taken)
+
+    if fmt != "text":
+        runs = ((shared(r), r.results) for r in records)
+    parts, filled = [], 0  # the batch: (shared fields, results taken) per run, and its lines
     try:
-        while taken.extend(islice(records, BATCH)) or taken:  # keeps those taken if one fails
-            batch, taken = taken, []  # first, so that a failed write is not repeated
-            out.write(encode(batch))
+        for fields, results in runs:
+            results = iter(results)
+            while True:
+                parts.append((fields, taken := []))
+                taken.extend(islice(results, BATCH - filled))  # keeps those taken if one fails
+                filled += len(taken)
+                if filled < BATCH:
+                    break
+                batch, parts, filled = parts, [], 0  # first, so that a failed write is not repeated
+                out.write(encode(batch))
     finally:
-        if taken:
-            out.write(encode(taken))
-
-
-def _json_lines(records: list[OutputRecord], line: Callable[[object], str]) -> str:
-    """The records' json lines, keys sorted.  The fields around ``result`` are
-    encoded once per run of records with equal command, ref and valid and one
-    ``inputs`` object (an equal dict may encode otherwise; all the records are
-    alive, so an id is one dict), and the run's results with one ``map``."""
-    parts = []
-    for (command, _, ref, valid), run in groupby(
-            records, lambda r: (r.command, id(r.inputs), r.ref, r.valid)):
-        run = list(run)
-        head = line({"command": command, "inputs": run[0].inputs, "ref": ref})[:-1]
-        head, tail = head + ', "result": ', ', "valid": ' + line(valid) + "}\n"
-        parts.append(head + (tail + head).join(map(line, map(attrgetter("result"), run))) + tail)
-    return "".join(parts)
+        if any(taken for _, taken in parts):
+            out.write(encode(parts))
 
 
 def _p4_annotation(m: int) -> str:
@@ -122,7 +127,7 @@ def _p4_annotation(m: int) -> str:
 def _cmd_bq(args: argparse.Namespace) -> list[OutputRecord]:
     qs = [args.q] if args.q is not None else range(1, 9)
     return [
-        OutputRecord("bq", {"q": q}, str(node_polynomial(q)), None, "node-polynomial")
+        OutputRecord("bq", {"q": q}, (str(node_polynomial(q)),), None, "node-polynomial")
         for q in qs
     ]
 
@@ -130,58 +135,58 @@ def _cmd_bq(args: argparse.Namespace) -> list[OutputRecord]:
 def _cmd_plane_table(args: argparse.Namespace) -> list[OutputRecord]:
     plane = surface.ChernNumbers.plane()
     return [
-        OutputRecord("plane", {"q": q}, str(surface.surface_aq(q, plane)), None, "plane-aq")
+        OutputRecord("plane", {"q": q}, (str(surface.surface_aq(q, plane)),), None, "plane-aq")
         for q in range(1, 9)
     ]
 
 
 def _cmd_plane_symbolic(args: argparse.Namespace) -> list[OutputRecord]:
     poly = surface.severi_degree(args.r)
-    return [OutputRecord("plane", {"r": args.r}, str(poly), None, "severi-polynomial")]
+    return [OutputRecord("plane", {"r": args.r}, (str(poly),), None, "severi-polynomial")]
 
 
 def _cmd_plane_count(args: argparse.Namespace) -> list[OutputRecord]:
     value = integer(surface.plane_count(args.r, args.m), f"the count at r={args.r}, m={args.m}")
     valid = "in range" if surface.plane_validity(args.r, args.m) else "outside range"
     inputs = {"r": args.r, "m": args.m}
-    return [OutputRecord("plane", inputs, value, f"{valid} (m >= r/2+1)", "severi-count")]
+    return [OutputRecord("plane", inputs, (value,), f"{valid} (m >= r/2+1)", "severi-count")]
 
 
 def _cmd_p4_symbolic(args: argparse.Namespace) -> list[OutputRecord]:
     poly = grassmann.threefold_6nodal_symbolic()
-    return [OutputRecord("p4", {}, str(poly), None, "p4-6nodal-polynomial")]
+    return [OutputRecord("p4", {}, (str(poly),), None, "p4-6nodal-polynomial")]
 
 
 def _cmd_p4_lines3(args: argparse.Namespace) -> list[OutputRecord]:
     poly = grassmann.threefold_3nodal_lines()
-    return [OutputRecord("p4", {}, str(poly), None, "p4-3nodal-lines")]
+    return [OutputRecord("p4", {}, (str(poly),), None, "p4-3nodal-lines")]
 
 
 def _cmd_p4_irreducible(args: argparse.Namespace) -> list[OutputRecord]:
     value = grassmann.quintic_irreducible()
-    return [OutputRecord("p4", {"m": 5}, value, _p4_annotation(5), "p4-quintic-irreducible")]
+    return [OutputRecord("p4", {"m": 5}, (value,), _p4_annotation(5), "p4-quintic-irreducible")]
 
 
 def _cmd_p4_count(args: argparse.Namespace) -> list[OutputRecord]:
     value = grassmann.threefold_6nodal(args.m)
-    return [OutputRecord("p4", {"m": args.m}, value, _p4_annotation(args.m), "p4-6nodal-count")]
+    return [OutputRecord("p4", {"m": args.m}, (value,), _p4_annotation(args.m), "p4-6nodal-count")]
 
 
 def _cmd_abelian_table(args: argparse.Namespace) -> list[OutputRecord]:
     return [
-        OutputRecord("abelian", {"r": r}, str(abelian.abelian_count(r)), None, "abelian-table")
+        OutputRecord("abelian", {"r": r}, (str(abelian.abelian_count(r)),), None, "abelian-table")
         for r in range(9)
     ]
 
 
 def _cmd_abelian_fixed_class(args: argparse.Namespace) -> list[OutputRecord]:
     poly = abelian.fixed_class_count(args.r)
-    return [OutputRecord("abelian", {"r": args.r}, str(poly), None, "abelian-fixed-class")]
+    return [OutputRecord("abelian", {"r": args.r}, (str(poly),), None, "abelian-fixed-class")]
 
 
 def _cmd_abelian_oracle(args: argparse.Namespace) -> list[OutputRecord]:
     value = abelian.bryan_leung_count(args.g, args.r)
-    return [OutputRecord("abelian", {"g": args.g, "r": args.r}, value, None, "abelian-oracle")]
+    return [OutputRecord("abelian", {"g": args.g, "r": args.r}, (value,), None, "abelian-oracle")]
 
 
 def _cmd_abelian_count(args: argparse.Namespace) -> list[OutputRecord]:
@@ -190,18 +195,16 @@ def _cmd_abelian_count(args: argparse.Namespace) -> list[OutputRecord]:
         raise ValueError(f"g must be at least 1: {args.g}")
     poly = abelian.abelian_count(args.r)
     if args.g is None:
-        return [OutputRecord("abelian", {"r": args.r}, str(poly), None, "abelian-count")]
+        return [OutputRecord("abelian", {"r": args.r}, (str(poly),), None, "abelian-count")]
     value = integer(poly.evaluate({"g": args.g}), f"the count at r={args.r}, g={args.g}")
-    return [OutputRecord("abelian", {"r": args.r, "g": args.g}, value, None, "abelian-count")]
+    return [OutputRecord("abelian", {"r": args.r, "g": args.g}, (value,), None, "abelian-count")]
 
 
-def _cmd_enriques_enumerate(args: argparse.Namespace) -> Iterable[OutputRecord]:
+def _cmd_enriques_enumerate(args: argparse.Namespace) -> list[OutputRecord]:
     from . import enriques
     texts = enriques.enumeration_text(args.max_v, args.max_w)
     inputs = {"max-v": args.max_v, "max-w": args.max_w}
-    fields = zip(repeat("enriques"), repeat(inputs), texts, repeat(None),
-                 repeat("diagram-enumeration"))
-    return map(partial(tuple.__new__, OutputRecord), fields)  # as _make, with no frame per record
+    return [OutputRecord("enriques", inputs, texts, None, "diagram-enumeration")]
 
 
 def _diagram_query(args: argparse.Namespace, query: Callable, ref: str) -> list[OutputRecord]:
@@ -216,7 +219,7 @@ def _diagram_query(args: argparse.Namespace, query: Callable, ref: str) -> list[
         result = query(enriques.from_text(text))
     except (OSError, ValueError) as exc:  # unreadable, unparsable or not a valid diagram
         raise ValueError(f"diagram {args.file}: {exc}") from exc
-    return [OutputRecord("enriques", {"file": args.file}, result, None, ref)]
+    return [OutputRecord("enriques", {"file": args.file}, (result,), None, ref)]
 
 
 def _invariants_text(diagram: enriques.EnriquesDiagram) -> str:
@@ -257,7 +260,7 @@ def _validity_record(args: argparse.Namespace, ok: bool) -> list[OutputRecord]:
     """The record of a validity predicate, with the inputs its mode needs."""
     needs = MODES["validity"][args.mode][0]
     inputs = {"predicate": args.mode, **{_dest(o): getattr(args, _dest(o)) for o in needs}}
-    return [OutputRecord("validity", inputs, str(ok).lower(), None, f"validity-{args.mode}")]
+    return [OutputRecord("validity", inputs, (str(ok).lower(),), None, f"validity-{args.mode}")]
 
 
 def _cmd_validity_plane(args: argparse.Namespace) -> list[OutputRecord]:
@@ -402,7 +405,7 @@ def run(argv: Sequence[str]) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        # records may be lazy, so errors can surface while emitting
+        # a run's results may be lazy, so errors can surface while emitting
         emit(handler(args), args.format, sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:

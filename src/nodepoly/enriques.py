@@ -329,18 +329,14 @@ def canonical_key(diagram: EnriquesDiagram) -> tuple[TreeKey, ...]:
 def _rows(key: TreeKey, label: Callable[[int], object]) -> list[tuple]:
     """(id, weight, parent, remote) of each vertex of the canonical tree with
     this key, in preorder; vertex i has id ``label(i)``, and None is none."""
-    rows, path = [], []  # path: ids of the ancestors of the vertex being placed, root first
-
-    def visit(key: TreeKey, parent: object) -> None:
-        weight, offset, children = key
+    rows, stack = [], [(key, ())]  # (subtree, ids of its root's ancestors, root first), next last
+    while stack:
+        (weight, offset, children), path = stack.pop()
         idx = label(len(rows))
-        rows.append((idx, weight, parent, path[-offset] if offset else None))
-        path.append(idx)
-        for child in children:
-            visit(child, idx)
-        path.pop()
-
-    visit(key, None)
+        rows.append((idx, weight, path[-1] if path else None, path[-offset] if offset else None))
+        path += (idx,)
+        for child in reversed(children):  # a loop, not a comprehension: no frame per vertex
+            stack.append((child, path))
     return rows
 
 
@@ -407,7 +403,7 @@ def _single_root_catalog(max_vertices: int, max_weight: int) -> list[tuple[TreeK
             j += 1
 
     catalog = sorted((key, size) for key, size, _, _ in subtrees(max_vertices, 0, True))
-    subtrees.cache_clear()  # the memo is scratch: freed here, not left to the collector
+    del subtrees, family  # the memo and its closures are scratch: freed here, not by the collector
     return catalog
 
 
@@ -451,6 +447,7 @@ def _forest_walk(max_vertices: int, max_weight: int, place: Callable[[TreeKey, i
 
         for total in range(1, max_vertices + 1):
             yield from extend(empty, 0, 0, total)
+        del extend  # it refers to itself: freed here, not left to the collector
         yield batch
 
     return walk()

@@ -122,6 +122,32 @@ class HashingStream(io.TextIOBase):
         return len(text)
 
 
+def lines_of(runs) -> list[dict]:
+    """Each result of each run as the one-line record ``emit`` writes for it."""
+    return [{"command": r.command, "inputs": r.inputs, "result": result, "valid": r.valid,
+             "ref": r.ref} for r in runs for result in r.results]
+
+
+def one_at_a_time(records: list[dict], fmt: str) -> str:
+    """The records written one line at a time, each format as it was before runs."""
+    out = io.StringIO()
+    rows = [(r["command"], " ".join(f"{k}={v}" for k, v in r["inputs"].items()),
+             str(r["result"]), r["valid"] or "", r["ref"]) for r in records]
+    if fmt == "json":
+        for r in records:
+            out.write(json.dumps(r, sort_keys=True) + "\n")
+    elif fmt == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["command", "inputs", "result", "valid", "ref"])
+        writer.writerows(rows)
+    else:
+        widths = [max(len(row[i]) for row in rows) for i in range(4)]
+        for row in rows:
+            cells = [cell.ljust(width) for cell, width in zip(row, widths)]
+            out.write("  ".join(cells + [row[4]]) + "\n")
+    return out.getvalue()
+
+
 def readme_examples() -> list[list[str]]:
     """The ``nodecount`` lines of the first ``sh`` block under "## Command line"."""
     section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
@@ -143,17 +169,17 @@ class TestReadme:
 
     @pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
     def test_example_json_lines_are_its_records(self, capsys, monkeypatch, argv):
-        """Each json line is ``json.dumps`` of the record the handler returned."""
+        """Each json line is ``json.dumps`` of a result of a run the handler returned."""
         returned: list[OutputRecord] = []
 
         def keeping(records, fmt, out):
-            returned.extend(records)
+            returned.extend(r._replace(results=list(r.results)) for r in records)
             emit(returned, fmt, out)
 
         monkeypatch.setattr("nodepoly.cli.emit", keeping)
         code, out = invoke(capsys, *argv, "--format", "json")
         assert code == 0 and returned
-        assert out.splitlines() == [json.dumps(r._asdict(), sort_keys=True) for r in returned]
+        assert out.splitlines() == [json.dumps(r, sort_keys=True) for r in lines_of(returned)]
 
 
 def readme_mode_rows() -> list[list[str]]:
@@ -300,31 +326,46 @@ class TestFormats:
     @pytest.mark.parametrize("fmt,most", [("json", 3), ("csv", 4), ("text", 3)])
     def test_writes_in_batches(self, fmt, most):
         records = [
-            OutputRecord("enriques", {"i": i}, f"r{i}", None if i % 3 else "in range", "x")
+            OutputRecord("enriques", {"i": i}, (f"r{i}",), None if i % 3 else "in range", "x")
             for i in range(2 * BATCH + 1)
         ]
         stream = CountingStream()
         emit(records, fmt, stream)
         assert stream.writes <= most
-        one_at_a_time = io.StringIO()
-        if fmt == "json":
-            for r in records:
-                one_at_a_time.write(json.dumps(r._asdict(), sort_keys=True) + "\n")
-        elif fmt == "csv":
-            writer = csv.writer(one_at_a_time, lineterminator="\n")
-            writer.writerow(["command", "inputs", "result", "valid", "ref"])
-            for r in records:
-                writer.writerow([r.command, f"i={r.inputs['i']}", r.result, r.valid or "", r.ref])
-        else:
-            rows = [(r.command, f"i={r.inputs['i']}", r.result, r.valid or "") for r in records]
-            widths = [max(len(row[i]) for row in rows) for i in range(4)]
-            for row in rows:
-                cells = [cell.ljust(width) for cell, width in zip(row, widths)]
-                one_at_a_time.write("  ".join(cells + ["x"]) + "\n")
-        assert stream.getvalue() == one_at_a_time.getvalue()
+        assert stream.getvalue() == one_at_a_time(lines_of(records), fmt)
+
+    @pytest.mark.parametrize("fmt,most", [("json", 3), ("csv", 4), ("text", 3)])
+    def test_long_run_between_runs_of_one(self, fmt, most):
+        """A run of ``2*BATCH + 1`` results is written as its records one a line."""
+        results = [f"r{i}" for i in range(2 * BATCH + 1)]
+        records = [
+            OutputRecord("enriques", {"i": 0}, ("first",), "in range", "x"),
+            OutputRecord("enriques", {"max-v": 7, "max-w": 6}, results, None, "y"),
+            OutputRecord("plane", {"i": 1}, (2**64 + 1,), None, "z"),
+        ]
+        expected = one_at_a_time(lines_of(records), fmt)
+        records[1] = records[1]._replace(results=iter(results))  # lazy, as the enumeration
+        stream = CountingStream()
+        emit(records, fmt, stream)
+        assert stream.writes <= most
+        assert stream.getvalue() == expected
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_empty_run_writes_nothing(self, fmt):
+        header = "command,inputs,result,valid,ref\n" if fmt == "csv" else ""
+        stream = CountingStream()
+        emit([OutputRecord("enriques", {"i": 0}, (), None, "x")], fmt, stream)
+        assert stream.getvalue() == header
+        assert stream.writes == (1 if header else 0)
+        one = OutputRecord("enriques", {"i": 1}, ("r",), None, "x")
+        records = [one, OutputRecord("plane", {}, iter(()), "in range", "y"), one]
+        stream = CountingStream()
+        emit(records, fmt, stream)
+        assert stream.getvalue() == one_at_a_time(lines_of([one, one]), fmt)
+        assert stream.writes == (2 if header else 1)
 
     def test_json_lines_around_shared_fields(self):
-        """A json line is ``json.dumps`` of its record wherever a run of shared fields breaks."""
+        """A json line is ``json.dumps`` of its record wherever the shared fields change."""
         results = ['say "x"', "two\nlines", "Enriques – ∞ é 😀", 2**64 + 1, -7, ""]
         expected: list[str] = []
 
@@ -336,17 +377,16 @@ class TestFormats:
                 ("enriques", None, "b"), ("plane", None, "b"),  # ref, then command change
             ]
             for command, valid, ref in fields:
-                for result in results:
-                    yield OutputRecord(command, inputs, result, valid, ref)
+                yield OutputRecord(command, inputs, results, valid, ref)
             # equal to the last inputs but another object; 7.0 == 7 yet encodes as 7.0
             for equal in ({"max-v": 7, "max-w": 6}, {"max-v": 7.0, "max-w": 6}):
-                yield OutputRecord("plane", equal, results[0], None, "b")
+                yield OutputRecord("plane", equal, results[:1], None, "b")
             for q in range(3):  # a fresh dict per record, as ``bq`` builds them
-                yield OutputRecord("bq", {"q": q}, results[q], None, "b")
+                yield OutputRecord("bq", {"q": q}, results[q:q + 1], None, "b")
 
         def recorded():
             for r in records():
-                expected.append(json.dumps(r._asdict(), sort_keys=True))
+                expected.extend(json.dumps(line, sort_keys=True) for line in lines_of([r]))
                 yield r
 
         out = io.StringIO()
@@ -357,15 +397,15 @@ class TestFormats:
     def test_json_run_breaks_at_a_batch_boundary(self):
         """Shared fields that change at line ``BATCH`` and again at line ``BATCH + 1``."""
         shared = {"max-v": 7, "max-w": 6}
-        records = [OutputRecord("enriques", shared, f"r{i}", None, "a") for i in range(BATCH - 1)]
-        records.append(OutputRecord("enriques", shared, "last", "in range", "a"))
+        records = [OutputRecord("enriques", shared, [f"r{i}" for i in range(BATCH - 1)], None, "a")]
+        records.append(OutputRecord("enriques", shared, ["last"], "in range", "a"))
         equal = {"max-v": 7.0, "max-w": 6}  # equal to ``shared``, yet encoded otherwise
-        records += [OutputRecord("enriques", equal, i, None, "a") for i in range(BATCH + 1)]
+        records.append(OutputRecord("enriques", equal, range(BATCH + 1), None, "a"))
         stream = CountingStream()
         emit(records, "json", stream)
         assert stream.writes <= 3
         lines = stream.getvalue().splitlines()
-        assert lines == [json.dumps(r._asdict(), sort_keys=True) for r in records]
+        assert lines == [json.dumps(r, sort_keys=True) for r in lines_of(records)]
 
     def test_text_alignment(self, capsys):
         _, out = invoke(capsys, "plane", "--table")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from functools import cache
 from itertools import product
 from pathlib import Path
@@ -249,6 +250,19 @@ class TestEnumeration:
             expected = [to_text(d).rstrip("\n").replace("\n", "; ")
                         for d in enumerate_diagrams(v, w)]
             assert list(enumeration_text(v, w)) == expected
+
+    @pytest.mark.parametrize("v,w", [(5, 4), (6, 5)])
+    def test_leaves_no_cyclic_garbage(self, v, w):
+        """Exhausted, the enumeration has freed all it made: nothing is left to
+        the cyclic collector, which would otherwise run while it streams."""
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in enumeration_text(v, w):
+                pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_multi_root_included(self):
         keys = {canonical_key(d) for d in enumerate_diagrams(2, 2)}

@@ -155,7 +155,8 @@ X = parse("v^3 + v*w2", ("v", "w1", "w2"))
 POLY = "Poly(('v', 'w1', 'w2'), v^3 + v*w2)"
 
 #: Each record type: two equal instances, one that differs in one field, and
-#: the repr the type had as a frozen dataclass.
+#: the repr the type had as a frozen dataclass (``OutputRecord``'s since its
+#: ``result`` became the run ``results``).
 RECORDS = {
     "ChernNumbers": (
         ChernNumbers.plane, lambda: ChernNumbers.of(4, -6, 0, 24),
@@ -167,9 +168,10 @@ RECORDS = {
         f"NodePolynomialSet(polys=({POLY},), x2={POLY}, x3={POLY}, x4={POLY})",
     ),
     "OutputRecord": (
-        lambda: OutputRecord("plane", {"r": 5, "m": 4}, 378, "in range (m >= r/2+1)", "severi-count"),
-        lambda: OutputRecord("plane", {"r": 5, "m": 4}, 378, None, "severi-count"),
-        "OutputRecord(command='plane', inputs={'r': 5, 'm': 4}, result=378,"
+        lambda: OutputRecord("plane", {"r": 5, "m": 4}, (378,), "in range (m >= r/2+1)",
+                             "severi-count"),
+        lambda: OutputRecord("plane", {"r": 5, "m": 4}, (378,), None, "severi-count"),
+        "OutputRecord(command='plane', inputs={'r': 5, 'm': 4}, results=(378,),"
         " valid='in range (m >= r/2+1)', ref='severi-count')",
     ),
 }
