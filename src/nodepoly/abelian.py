@@ -27,8 +27,9 @@ An independent route to the same numbers is the generating function
 
     sum_{r>=0} (N_{g,r}/g) q^r = ( sum_{k>=1} k*sigma_1(k)*q^(k-1) )^(g-1)
 
-with sigma_1 the divisor sum; ``bryan_leung_count`` implements it with exact
-integer series arithmetic and the suite checks the two routes agree.
+with sigma_1 the divisor sum; ``bryan_leung_count`` takes the power and
+``bryan_leung_log_coefficients`` the log of that series by the classical
+recurrences (Knuth, TAOCP vol. 2, 4.7).  The suite checks the two routes agree.
 
 Validity is a separate concern from computation: ``abelian_validity`` gives
 the genus threshold under which the polynomial formulas are proven (it
@@ -46,7 +47,7 @@ from math import factorial
 from .bell import nodal_class
 from .exactpoly import ExactnessError, Poly, integer, parse
 from .nodegen import node_polynomial
-from .truncated import Truncated, pushforward
+from .truncated import Truncated, integrate, pushforward
 
 #: The fiber grading: l^j = 0 for j > 4, and integration over the first
 #: factor, keyed by the exponent of l.
@@ -122,7 +123,7 @@ def _pushed_count(r: int, table: dict) -> Poly:
     Purity fixes the h power of each base monomial, so h is set to 1, and d
     is eliminated by adjunction, d = 2g + 2r - 2.
     """
-    pushed = Truncated(nodal_locus_class(r), _BASE, _BASE_CAP).integrate(table)
+    pushed = integrate(nodal_locus_class(r), _BASE, table)
     g = Poly.variable("g")
     return pushed.substitute({"h": 1, "d": 2 * g + 2 * r - 2}).in_context(("g",))
 
@@ -159,35 +160,19 @@ def _node_series(order: int) -> list[int]:
     return [(j + 1) * divisor_sum(j + 1) for j in range(order + 1)]
 
 
-def _series_mul(a: list, b: list, order: int) -> list:
-    """Truncated product of series coefficient lists (ints or Fractions)."""
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > order:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
 def bryan_leung_count(g: int, r: int) -> int:
     """N_{g,r} from the generating function: g times the q^r coefficient of
-    the (g-1)-st power of sum k*sigma_1(k)*q^(k-1).  Exact integers."""
+    p = F^(g-1), F = sum k*sigma_1(k)*q^(k-1), by the power recurrence
+    n*p_n = sum_{k=1..n} (g*k - n)*F_k*p_{n-k}, F_0 = 1.  Exact integers."""
     if g < 1:
         raise ValueError(f"g must be at least 1: {g}")
     if r < 0:
         raise ValueError(f"r must be non-negative: {r}")
-    base = _node_series(r)
-    power = [1] + [0] * r
-    e = g - 1
-    sq = base
-    while e:
-        if e & 1:
-            power = _series_mul(power, sq, r)
-        sq = _series_mul(sq, sq, r)
-        e >>= 1
+    series = _node_series(r)
+    power = [1]
+    for n in range(1, r + 1):
+        total = sum((g * k - n) * series[k] * power[n - k] for k in range(1, n + 1))
+        power.append(integer(Fraction(total, n), f"the q^{n} coefficient of F^{g - 1}"))
     return g * power[r]
 
 
@@ -196,19 +181,15 @@ def bryan_leung_log_coefficients(count: int = 8) -> list[int]:
 
     These are 6, -12, 168, -2448, ... and encode the per-genus factorization
     of the counts: evaluating the node polynomials with a_r = (g-1)*b_r
-    reproduces N_{g,r}/g.
+    reproduces N_{g,r}/g.  For l = log F, F that series, the log recurrence
+    n*l_n = n*F_n - sum_{k=1..n-1} k*l_k*F_{n-k} runs on the integers n*l_n,
+    and b_n = n!*l_n = (n-1)! * n*l_n.
     """
-    series = [Fraction(c) for c in _node_series(count)]
-    u = series[:]
-    u[0] -= 1  # log(1 + u) with u the positive-order part
-    log = [Fraction(0)] * (count + 1)
-    term = [Fraction(1)] + [Fraction(0)] * count
-    for i in range(1, count + 1):
-        term = _series_mul(term, u, count)
-        sign = Fraction((-1) ** (i + 1), i)
-        for j in range(count + 1):
-            log[j] += sign * term[j]
-    return [integer(log[r] * factorial(r), f"log coefficient b_{r}") for r in range(1, count + 1)]
+    series = _node_series(count)
+    scaled = [0]  # scaled[n] = n * l_n
+    for n in range(1, count + 1):
+        scaled.append(n * series[n] - sum(scaled[k] * series[n - k] for k in range(1, n)))
+    return [scaled[n] * factorial(n - 1) for n in range(1, count + 1)]
 
 
 def abelian_validity(m: int, g: int, r: int) -> bool:

@@ -38,7 +38,7 @@ from functools import lru_cache
 from .bell import nodal_class
 from .exactpoly import Poly, integer, parse
 from .nodegen import node_polynomial
-from .truncated import Truncated, pushforward
+from .truncated import integrate, pushforward
 
 #: The fiber grading: f^j = 0 for j > 4 on the tautological plane bundle.
 _FIBER = {"f": 1}
@@ -92,7 +92,7 @@ def grass_integrate(cls: Poly) -> Poly:
     cls = cls.in_context(_CONTEXT)
     if not cls.is_weighted_homogeneous({**_BASE, "m": 0}, 6):
         raise ValueError(f"not a degree-6 class in q1 (degree 1) and q2 (degree 2): {cls}")
-    return Truncated(cls, _BASE, 6).integrate(DEGREE6_INTEGRALS)
+    return integrate(cls, _BASE, DEGREE6_INTEGRALS)
 
 
 @lru_cache(maxsize=None)

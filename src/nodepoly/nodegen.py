@@ -15,8 +15,8 @@ x2, x3, x4, defines every b_q (s = q - 1):
               + [s = 7] * 3281 * 7! * x4
 
 where P_n is the complete Bell polynomial and the x3 term vanishes for
-s < 3.  The x4 multiplier is fixed by the known count of 26136 eight-nodal
-quintic plane curves through 12 general points; the suite checks that.
+s < 3.  ``tests/test_surface.py::test_x4_multiplier_derived`` derives the x4
+multiplier from Bryan and Leung's counts of 8-nodal curves on a K3 surface.
 ``node_polynomial(q)`` builds b_q on demand from b_1..b_{q-1} and caches
 it, and each Q(i, b_j) is cached by (i, j): b_8 costs eleven transforms.
 

@@ -3,11 +3,12 @@
 Every back end evaluates b_q at its images of v, w1, w2 in a ring of
 polynomials modulo the monomials whose weighted degree in some graded
 variables exceeds a cap (f^5 = 0 on the plane bundle over the Grassmannian,
-surface degree above 2 on a fixed surface, ...), then integrates: each
-monomial in the graded variables goes through a table of integrals, and the
-other variables ride along as coefficients.  A ``Truncated`` is one such
-class; the weights and the cap travel with it, so a back end is just data:
-its images and its table, which ``pushforward`` takes.
+surface degree above 2 on a fixed surface, ...), then integrates.  A
+``Truncated`` is one such class; the weights and the cap travel with it, so a
+back end is just data: its images and its table, which ``pushforward`` takes.
+``integrate`` works on a plain polynomial: each monomial in the graded
+variables goes through a table of integrals (to 0 with no key, so it needs no
+truncation), and the other variables ride along as coefficients.
 """
 
 from __future__ import annotations
@@ -54,20 +55,6 @@ class Truncated:
     def __repr__(self) -> str:
         return f"Truncated({self.poly}, {dict(self.weights)}, cap={self.cap})"
 
-    def integrate(self, table: Mapping[Exponents, Poly | Scalar]) -> Poly:
-        """The linear map sending each graded monomial through ``table``.
-
-        Keys are exponent tuples of the graded variables, in the order of
-        ``weights``; a monomial with no key integrates to 0.  The remaining
-        variables are carried through unchanged.
-        """
-        rest = tuple(v for v in self.poly.variables if v not in self.weights)
-        total = Poly.zero(rest)
-        for key, part in self.poly.coefficients_in(tuple(self.weights)).items():
-            if key in table:
-                total = total + part.in_context(rest) * table[key]
-        return total
-
 
 def _poly(value: Any) -> Any:
     return value.poly if isinstance(value, Truncated) else value
@@ -84,4 +71,21 @@ def pushforward(
     the monomials above ``cap``, then integrated through ``table``: one back end's pushforward."""
     values, one = in_one_context(images)
     values = {v: Truncated(value, weights, cap) for v, value in values.items()}
-    return evaluate_in(poly, values, Truncated(one, weights, cap)).integrate(table)
+    return integrate(evaluate_in(poly, values, Truncated(one, weights, cap)).poly, weights, table)
+
+
+def integrate(
+    poly: Poly, weights: Mapping[str, int], table: Mapping[Exponents, Poly | Scalar]
+) -> Poly:
+    """The linear map sending each monomial in the graded variables through ``table``.
+
+    Keys are exponent tuples of the graded variables, in the order of
+    ``weights``; a monomial with no key integrates to 0.  The remaining
+    variables are carried through unchanged, in their order in ``poly``.
+    """
+    rest = tuple(v for v in poly.variables if v not in weights)
+    total = Poly.zero(rest)
+    for key, part in poly.coefficients_in(tuple(weights)).items():
+        if key in table:
+            total = total + part.in_context(rest) * table[key]
+    return total

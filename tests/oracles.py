@@ -34,10 +34,28 @@ def k3_counts(g: int, order: int) -> list[int]:
         for _ in range(24):
             for i in range(m, order + 1):
                 series[i] += series[i - m]
+    return _series_product(series, node_series_power(g, order))
+
+
+def node_series_power(e: int, order: int) -> list[int]:
+    """The coefficients of F^e up to q^order, F = sum_k k*sigma_1(k)*q^(k-1),
+    by e repeated truncated products.
+
+    F generates Bryan and Leung's counts on K3 surfaces (``k3_counts``) and
+    on abelian surfaces (Duke Math. J. 99 (1999)), where the curves of genus
+    g with r nodes through g points number g times the q^r coefficient of
+    F^(g-1).
+    """
     node = [k * sum(d for d in range(1, k + 1) if k % d == 0) for k in range(1, order + 2)]
-    for _ in range(g):
-        series = [sum(series[i] * node[n - i] for i in range(n + 1)) for n in range(order + 1)]
-    return series
+    power = [1] + [0] * order
+    for _ in range(e):
+        power = _series_product(power, node)
+    return power
+
+
+def _series_product(a: list, b: list) -> list:
+    """The product of two series of the same length, truncated to that length."""
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
 
 
 def _residue(value, tangent, weights) -> Fraction:
@@ -275,3 +293,104 @@ def _partitions(n: int, largest: int):
     for part in range(min(n, largest), 0, -1):
         for rest in _partitions(n - part, part):
             yield (part, *rest)
+
+
+#: The generator's fixed inputs x2, x3, x4 and the multiplier of x4, as the
+#: recursion for the node polynomials prints them: maps from the exponents of
+#: v^a * w1^b * w2^c, keyed (a, b, c), to the coefficients.
+X2 = {(3, 0, 0): 1, (2, 1, 0): 1, (1, 0, 1): 1}
+X3 = {
+    (6, 0, 0): 1, (5, 1, 0): 4, (4, 2, 0): 5, (4, 0, 1): 5, (3, 3, 0): 2, (3, 1, 1): 11,
+    (2, 2, 1): 6, (2, 0, 2): 4, (1, 1, 2): 4,
+}
+X4 = {
+    (10, 0, 0): 1, (9, 1, 0): 10, (8, 2, 0): 40, (8, 0, 1): 15, (7, 3, 0): 82,
+    (7, 1, 1): 111, (6, 4, 0): 91, (6, 2, 1): 315, (6, 0, 2): 63, (5, 5, 0): 52,
+    (5, 3, 1): 29, (5, 1, 2): 324, (4, 6, 0): 12, (4, 4, 1): 282, (4, 2, 2): 593,
+    (4, 0, 3): 85, (3, 5, 1): 72, (3, 3, 2): 464, (3, 1, 3): 259, (2, 4, 2): 132,
+    (2, 2, 3): 246, (2, 0, 4): 36, (1, 3, 3): 72, (1, 1, 4): 36,
+}
+X4_MULTIPLIER = 3281 * factorial(7)
+
+
+@cache
+def node_polynomials_by_recursion() -> tuple[dict, ...]:
+    """b_1..b_8 by the recursion of the node-polynomial generator (s = q - 1):
+
+        b_{s+1} = P_s(Q(2,b_1),...,Q(2,b_s)) * x2
+                  - s(s-1)(s-2) * P_{s-3}(Q(3,b_1),...,Q(3,b_{s-3})) * x3
+                  + [s = 7] * 3281 * 7! * x4
+
+    Each b_q is a map from the exponents (a, b, c) of v^a * w1^b * w2^c to
+    the integer coefficient.  Polynomials here are such maps, with a fourth
+    exponent for e inside ``_q_transform``; P_n comes from the exponential
+    series (``_bell_by_partitions``).
+    """
+    b: list[dict] = []
+    q2: list[dict] = []
+    q3: list[dict] = []
+    for s in range(8):
+        bq = _poly_product(_bell_by_partitions(q2), X2)
+        if s >= 3:
+            bq = _poly_sum(bq, _poly_product(_bell_by_partitions(q3[:s - 3]), X3),
+                           -s * (s - 1) * (s - 2))
+        if s == 7:
+            bq = _poly_sum(bq, X4, X4_MULTIPLIER)
+        b.append(bq)
+        q2.append(_q_transform(2, bq))
+        q3.append(_q_transform(3, bq))
+    return tuple(b)
+
+
+def _poly_sum(x: dict, y: dict, scale: int = 1) -> dict:
+    """x + scale * y, without zero coefficients."""
+    out = dict(x)
+    for key, c in y.items():
+        out[key] = out.get(key, 0) + scale * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _poly_product(x: dict, y: dict) -> dict:
+    out: dict = {}
+    for kx, cx in x.items():
+        for ky, cy in y.items():
+            key = tuple(i + j for i, j in zip(kx, ky))
+            out[key] = out.get(key, 0) + cx * cy
+    return {key: c for key, c in out.items() if c}
+
+
+def _bell_by_partitions(a: list[dict]) -> dict:
+    """P_n(a_1, ..., a_n), n = len(a), read off the exponential series.
+
+    exp(sum_j a_j t^j/j!) = prod_j sum_m a_j^m t^(j*m) / ((j!)^m * m!), so the
+    coefficient of t^n/n! is the sum over the partitions of n, with m_j parts
+    j, of n! / prod_j ((j!)^m_j * m_j!) * prod_j a_j^m_j.
+    """
+    n = len(a)
+    total: dict = {}
+    for parts in _partitions(n, n):
+        weight, term = factorial(n), {(0, 0, 0): 1}
+        for j, m in Counter(parts).items():
+            weight //= factorial(j) ** m * factorial(m)
+            for _ in range(m):
+                term = _poly_product(term, a[j - 1])
+        total = _poly_sum(total, term, weight)
+    return total
+
+
+def _q_transform(i: int, poly: dict) -> dict:
+    """Q(i, R): substitute v -> v - i*e, w1 -> w1 + e, w2 -> w2 - e^2, reduce
+    by e^3 = -w1*e^2 - w2*e until the degree in e is at most 2, and negate
+    the coefficient of e^2."""
+    out: dict = {}
+    for (a, b, c), coeff in poly.items():
+        for j, k, m in product(range(a + 1), range(b + 1), range(c + 1)):
+            key = (a - j, b - k, c - m, j + k + 2 * m)
+            term = coeff * comb(a, j) * (-i) ** j * comb(b, k) * comb(c, m) * (-1) ** m
+            out[key] = out.get(key, 0) + term
+    for degree in range(max((key[3] for key in out), default=0), 2, -1):
+        for (a, b, c, e) in [key for key in out if key[3] == degree]:
+            coeff = out.pop((a, b, c, e))
+            for key in ((a, b + 1, c, e - 1), (a, b, c + 1, e - 2)):
+                out[key] = out.get(key, 0) - coeff
+    return {(a, b, c): -coeff for (a, b, c, e), coeff in out.items() if e == 2 and coeff}

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
 
+from nodepoly import abelian
 from nodepoly.abelian import (
     _BASE,
     _BASE_CAP,
@@ -20,9 +22,10 @@ from nodepoly.abelian import (
     nodal_locus_class,
     abelian_validity,
 )
-from nodepoly.exactpoly import Poly, parse
+from nodepoly.exactpoly import ExactnessError, Poly, parse
 from nodepoly.surface import ChernNumbers, severi_degree
 from nodepoly.truncated import Truncated
+from oracles import complete_bell, node_series_power
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -186,6 +189,28 @@ class TestBryanLeungOracle:
             6, -12, 168, -2448, 46944, -1071360, 29064960, -921110400
         ]
 
+    def test_power_recurrence_against_repeated_products(self):
+        # g times the q^r coefficient of F^(g-1), F^(g-1) built by g-1 truncated products
+        for g in range(1, 41):
+            power = node_series_power(g - 1, 12)
+            assert [bryan_leung_count(g, r) for r in range(13)] == [g * p for p in power]
+
+    def test_exp_undoes_the_log(self):
+        # sum P_n(b_1..b_n) q^n/n! = exp(sum b_r q^r/r!) = F
+        b = bryan_leung_log_coefficients(12)
+        series = node_series_power(1, 12)
+        for n in range(13):
+            assert complete_bell(b[:n]) / factorial(n) == series[n]
+
+    def test_inexact_power_names_its_coefficient(self, monkeypatch):
+        # F = 1 + q/3: the q^1 coefficient of F^2 is 2/3, not an integer
+        monkeypatch.setattr(
+            abelian, "_node_series", lambda order: [1, Fraction(1, 3)] + [0] * (order - 1)
+        )
+        message = r"the q\^1 coefficient of F\^2 is not an integer: 2/3"
+        with pytest.raises(ExactnessError, match=message):
+            bryan_leung_count(3, 1)
+
     @pytest.mark.parametrize("r", range(9))
     def test_oracle_equals_intersection_route(self, r):
         poly = abelian_count(r)
@@ -194,8 +219,6 @@ class TestBryanLeungOracle:
 
     def test_per_genus_bell_identity(self):
         # N_{g,r} = g * P_r(a_1,...,a_r)/r! with a_j = (g-1) * b_j
-        from math import factorial
-
         from nodepoly.bell import bell_value
 
         b = bryan_leung_log_coefficients(8)
@@ -264,10 +287,12 @@ class TestSetupAndValidity:
             (lambda: nodal_locus_class(9), "r must be in 0..8: 9"),
             (lambda: divisor_sum(0), "k must be positive: 0"),
             (lambda: bryan_leung_count(3, -1), "r must be non-negative: -1"),
+            (lambda: bryan_leung_count(0, 2), "g must be at least 1: 0"),
             (lambda: abelian_validity(0, 3, 1), "class multiple must be positive: 0"),
             (lambda: k_very_ample_ok("k3", 0, 8, 1), "class multiple must be positive: 0"),
         ],
-        ids=["nodal-locus-r", "divisor-sum-k", "bryan-leung-r", "validity-m", "kva-m"],
+        ids=["nodal-locus-r", "divisor-sum-k", "bryan-leung-r", "bryan-leung-g", "validity-m",
+             "kva-m"],
     )
     def test_refused_with_its_message(self, call, fragment):
         with pytest.raises(ValueError, match=fragment):

@@ -27,7 +27,7 @@ from nodepoly.grassmann import (
     threefold_validity,
 )
 from nodepoly.nodegen import node_polynomial
-from nodepoly.truncated import Truncated
+from nodepoly.truncated import Truncated, integrate
 from oracles import (
     conics_on_quintic,
     grassmannian_integral,
@@ -44,7 +44,7 @@ def fiber(value) -> Truncated:
 
 
 def push(cls: Truncated) -> Poly:
-    return cls.integrate(_FIBER_INTEGRALS)
+    return integrate(cls.poly, _FIBER, _FIBER_INTEGRALS)
 
 
 F = fiber(Poly.variable("f"))

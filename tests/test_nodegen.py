@@ -29,8 +29,8 @@ from nodepoly.nodegen import (
     q_transform,
 )
 from nodepoly.surface import ChernNumbers
-from nodepoly.truncated import Truncated, pushforward
-from oracles import jet_bundle_top_class
+from nodepoly.truncated import integrate, pushforward
+from oracles import jet_bundle_top_class, node_polynomials_by_recursion
 from test_surface import pushforward_monomial
 
 #: ``str(b_q)`` for q = 1..8, one line each, recorded from the generator
@@ -157,8 +157,12 @@ GRASS_ONE = Poly.constant(1, grassmann._CONTEXT)
 
 
 def on_g34(cls: Poly) -> Poly:
-    """A degree-3 class in q1, q2 (coefficients in m) integrated over G(3, 4)."""
-    return Truncated(cls, grassmann._BASE, 3).integrate(G34_INTEGRALS)
+    """A degree-3 class in q1, q2 (coefficients in m) integrated over G(3, 4).
+
+    Every key of ``G34_INTEGRALS`` has degree 3 (``test_g34_table_has_degree_3_only``),
+    so a monomial above degree 3 integrates to 0 with no truncation.
+    """
+    return integrate(cls, grassmann._BASE, G34_INTEGRALS)
 
 
 def class_monomials(q: int) -> list[tuple[int, int, int]]:
@@ -239,6 +243,9 @@ class TestWhatTheChecksSee:
         assert tuple(len(c) for c in columns) == self.DIMS
         assert tuple(rank(c) for c in columns) == self.SEEN
 
+    def test_g34_table_has_degree_3_only(self):
+        assert {e1 + 2 * e2 for e1, e2 in G34_INTEGRALS} == {3}
+
     def test_g34_table_gives_salmons_tritangent_planes(self):
         count = on_g34(nodal_class([grass_aq(q) for q in range(1, 4)], GRASS_ONE))
         assert [count.evaluate({"m": m}) for m in (3, 4)] == [45, 3200]
@@ -288,6 +295,13 @@ class TestGenerator:
         for coeff in node_polynomials().b(q).terms.values():
             assert coeff.denominator == 1
         assert node_polynomials().b(q).denominator == 1
+
+    def test_generator_and_golden_match_the_oracle(self):
+        # b_1..b_8 by a second implementation of the recursion, in tests/oracles.py
+        oracle = node_polynomials_by_recursion()
+        for q in range(1, 9):
+            assert dict(node_polynomial(q).in_context(CLASS_VARIABLES).terms) == oracle[q - 1]
+            assert dict(parse(GOLDEN_BQ[q - 1], CLASS_VARIABLES).terms) == oracle[q - 1]
 
     def test_x4_block_in_b8(self):
         # rebuild the two Bell blocks of b_8 from scratch; the leftover must

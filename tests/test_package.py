@@ -142,6 +142,20 @@ def _imported_packages(node: ast.AST) -> list[str]:
     return []
 
 
+def test_package_imports_the_standard_library_only():
+    """``pyproject.toml`` declares no dependencies: every absolute import in the package
+    is of a standard-library module; relative imports stay inside it."""
+    found = [
+        f"{path.name}:{node.lineno}:{name}"
+        for path in sorted(Path(nodepoly.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if not (isinstance(node, ast.ImportFrom) and node.level)
+        for name in _imported_packages(node)
+        if name not in sys.stdlib_module_names
+    ]
+    assert found == []
+
+
 def test_oracles_import_nothing_from_nodepoly():
     """The independent routes in ``tests/oracles.py`` share no code with the package."""
     path = Path(__file__).with_name("oracles.py")
