@@ -14,6 +14,9 @@ import pytest
 import nodepoly
 from nodepoly import ChernNumbers, NodePolynomialSet, parse
 from nodepoly.cli import OutputRecord
+from nodepoly.enriques import (
+    EnriquesDiagram, InequalityResult, Vertex, Violation, invariants, named_diagram,
+)
 
 SRC = str(Path(nodepoly.__file__).resolve().parents[1])
 
@@ -168,6 +171,11 @@ def test_oracles_import_nothing_from_nodepoly():
 X = parse("v^3 + v*w2", ("v", "w1", "w2"))
 POLY = "Poly(('v', 'w1', 'w2'), v^3 + v*w2)"
 
+A2 = (
+    "EnriquesDiagram(vertices=(Vertex(weight=2, parent=None, remote=None),"
+    " Vertex(weight=1, parent=0, remote=None), Vertex(weight=1, parent=1, remote=0)))"
+)
+
 #: Each record type: two equal instances, one that differs in one field, and
 #: the repr the type had as a frozen dataclass (``OutputRecord``'s since its
 #: ``result`` became the run ``results``).
@@ -188,7 +196,35 @@ RECORDS = {
         "OutputRecord(command='plane', inputs={'r': 5, 'm': 4}, results=(378,),"
         " valid='in range (m >= r/2+1)', ref='severi-count')",
     ),
+    "Vertex": (
+        lambda: Vertex(2, 0), lambda: Vertex(2, 0, 1), "Vertex(weight=2, parent=0, remote=None)",
+    ),
+    "EnriquesDiagram": (
+        lambda: EnriquesDiagram((Vertex(2), Vertex(1, 0), Vertex(1, 1, remote=0))),
+        lambda: EnriquesDiagram((Vertex(2), Vertex(1, 0), Vertex(1, 1))),
+        A2,
+    ),
+    "Violation": (
+        lambda: Violation("minimality", 1, "free leaf of weight 1"),
+        lambda: Violation("minimality", 2, "free leaf of weight 1"),
+        "Violation(axiom='minimality', vertex=1, detail='free leaf of weight 1')",
+    ),
+    "DiagramInvariants": (
+        lambda: invariants(named_diagram("A", 2)),
+        lambda: invariants(named_diagram("A", 1)),
+        "DiagramInvariants(roots=1, free_vertices=2, dim=3, deg=5, cod=2, delta=1, branches=1,"
+        " milnor=2, jacobian_mult=3)",
+    ),
+    "InequalityResult": (
+        lambda: InequalityResult("ii", True, False), lambda: InequalityResult("ii", True, True),
+        "InequalityResult(part='ii', holds=True, equality=False)",
+    ),
 }
+
+#: The Enriques record types, each equal only to a record of its own type.
+ENRIQUES_RECORDS = (
+    "DiagramInvariants", "EnriquesDiagram", "InequalityResult", "Vertex", "Violation",
+)
 
 
 @pytest.mark.parametrize("kind", sorted(RECORDS))
@@ -215,3 +251,11 @@ class TestRecordTypes:
         record = make()
         with pytest.raises(AttributeError):
             setattr(record, next(iter(type(record).__annotations__)), None)
+
+
+@pytest.mark.parametrize("kind", ENRIQUES_RECORDS)
+def test_enriques_record_is_not_the_tuple_of_its_fields(kind):
+    record = RECORDS[kind][0]()
+    fields = tuple(getattr(record, name) for name in type(record).__annotations__)
+    assert record != fields and fields != record
+    assert not (record == fields or fields == record)
