@@ -155,9 +155,10 @@ def divisor_sum(k: int) -> int:
     return sum(d for d in range(1, k + 1) if k % d == 0)
 
 
-def _node_series(order: int) -> list[int]:
-    """Coefficients of sum_{k>=1} k*sigma_1(k)*q^(k-1) up to q^order."""
-    return [(j + 1) * divisor_sum(j + 1) for j in range(order + 1)]
+@lru_cache(maxsize=None)
+def _node_series(order: int) -> tuple[int, ...]:
+    """Coefficients of sum_{k>=1} k*sigma_1(k)*q^(k-1) up to q^order, cached per order."""
+    return tuple(k * divisor_sum(k) for k in range(1, order + 2))
 
 
 def bryan_leung_count(g: int, r: int) -> int:

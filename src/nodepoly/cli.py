@@ -29,11 +29,7 @@ import sys
 from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from . import abelian, grassmann, surface
-from .exactpoly import integer
-from .nodegen import node_polynomial
-
-if TYPE_CHECKING:  # imported by the enriques handlers, so other commands start without it
+if TYPE_CHECKING:  # each handler imports its own back end: a command loads only what it runs
     from . import enriques
 
 FORMATS = ("text", "json", "csv")
@@ -121,10 +117,12 @@ def emit(records: Iterable[OutputRecord], fmt: str, out: io.TextIOBase) -> None:
 
 
 def _p4_annotation(m: int) -> str:
+    from . import grassmann
     return "in range (m >= 4)" if grassmann.threefold_validity(m) else "outside range (m >= 4)"
 
 
 def _cmd_bq(args: argparse.Namespace) -> list[OutputRecord]:
+    from .nodegen import node_polynomial
     qs = [args.q] if args.q is not None else range(1, 9)
     return [
         OutputRecord("bq", {"q": q}, (str(node_polynomial(q)),), None, "node-polynomial")
@@ -133,6 +131,7 @@ def _cmd_bq(args: argparse.Namespace) -> list[OutputRecord]:
 
 
 def _cmd_plane_table(args: argparse.Namespace) -> list[OutputRecord]:
+    from . import surface
     plane = surface.ChernNumbers.plane()
     return [
         OutputRecord("plane", {"q": q}, (str(surface.surface_aq(q, plane)),), None, "plane-aq")
@@ -141,11 +140,14 @@ def _cmd_plane_table(args: argparse.Namespace) -> list[OutputRecord]:
 
 
 def _cmd_plane_symbolic(args: argparse.Namespace) -> list[OutputRecord]:
+    from . import surface
     poly = surface.severi_degree(args.r)
     return [OutputRecord("plane", {"r": args.r}, (str(poly),), None, "severi-polynomial")]
 
 
 def _cmd_plane_count(args: argparse.Namespace) -> list[OutputRecord]:
+    from . import surface
+    from .exactpoly import integer
     value = integer(surface.plane_count(args.r, args.m), f"the count at r={args.r}, m={args.m}")
     valid = "in range" if surface.plane_validity(args.r, args.m) else "outside range"
     inputs = {"r": args.r, "m": args.m}
@@ -153,26 +155,31 @@ def _cmd_plane_count(args: argparse.Namespace) -> list[OutputRecord]:
 
 
 def _cmd_p4_symbolic(args: argparse.Namespace) -> list[OutputRecord]:
+    from . import grassmann
     poly = grassmann.threefold_6nodal_symbolic()
     return [OutputRecord("p4", {}, (str(poly),), None, "p4-6nodal-polynomial")]
 
 
 def _cmd_p4_lines3(args: argparse.Namespace) -> list[OutputRecord]:
+    from . import grassmann
     poly = grassmann.threefold_3nodal_lines()
     return [OutputRecord("p4", {}, (str(poly),), None, "p4-3nodal-lines")]
 
 
 def _cmd_p4_irreducible(args: argparse.Namespace) -> list[OutputRecord]:
+    from . import grassmann
     value = grassmann.quintic_irreducible()
     return [OutputRecord("p4", {"m": 5}, (value,), _p4_annotation(5), "p4-quintic-irreducible")]
 
 
 def _cmd_p4_count(args: argparse.Namespace) -> list[OutputRecord]:
+    from . import grassmann
     value = grassmann.threefold_6nodal(args.m)
     return [OutputRecord("p4", {"m": args.m}, (value,), _p4_annotation(args.m), "p4-6nodal-count")]
 
 
 def _cmd_abelian_table(args: argparse.Namespace) -> list[OutputRecord]:
+    from . import abelian
     return [
         OutputRecord("abelian", {"r": r}, (str(abelian.abelian_count(r)),), None, "abelian-table")
         for r in range(9)
@@ -180,17 +187,21 @@ def _cmd_abelian_table(args: argparse.Namespace) -> list[OutputRecord]:
 
 
 def _cmd_abelian_fixed_class(args: argparse.Namespace) -> list[OutputRecord]:
+    from . import abelian
     poly = abelian.fixed_class_count(args.r)
     return [OutputRecord("abelian", {"r": args.r}, (str(poly),), None, "abelian-fixed-class")]
 
 
 def _cmd_abelian_oracle(args: argparse.Namespace) -> list[OutputRecord]:
+    from . import abelian
     value = abelian.bryan_leung_count(args.g, args.r)
     return [OutputRecord("abelian", {"g": args.g, "r": args.r}, (value,), None, "abelian-oracle")]
 
 
 def _cmd_abelian_count(args: argparse.Namespace) -> list[OutputRecord]:
     """N_{g,r} as a polynomial in g, or its value when --g is given."""
+    from . import abelian
+    from .exactpoly import integer
     if args.g is not None and args.g < 1:
         raise ValueError(f"g must be at least 1: {args.g}")
     poly = abelian.abelian_count(args.r)
@@ -264,14 +275,17 @@ def _validity_record(args: argparse.Namespace, ok: bool) -> list[OutputRecord]:
 
 
 def _cmd_validity_plane(args: argparse.Namespace) -> list[OutputRecord]:
+    from . import surface
     return _validity_record(args, surface.plane_validity(args.r, args.m))
 
 
 def _cmd_validity_abelian(args: argparse.Namespace) -> list[OutputRecord]:
+    from . import abelian
     return _validity_record(args, abelian.abelian_validity(args.m, args.g, args.r))
 
 
 def _cmd_validity_kva(args: argparse.Namespace) -> list[OutputRecord]:
+    from . import abelian
     return _validity_record(args, abelian.k_very_ample_ok(args.surface, args.m, args.d, args.k))
 
 

@@ -36,31 +36,49 @@ verification of a family of sharp inequalities among these invariants.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import chain, starmap
 from math import comb
 from typing import Callable, Iterator, TypeVar
 
-from .exactpoly import ExactnessError
+from . import ExactnessError
 
 
-@dataclass(frozen=True)
-class Vertex:
+class _Record(tuple):
+    """A named tuple equal only to a record of its own type, as a frozen dataclass
+    is, and hashed as the tuple of its fields.  The records below derive from it
+    and from their ``namedtuple``; those with a ``__init__`` check their fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class Vertex(_Record, namedtuple("Vertex", "weight parent remote", defaults=(None, None))):
     """One infinitely near point: weight, parent index, remote proximity."""
 
+    __slots__ = ()
     weight: int
-    parent: int | None = None
-    remote: int | None = None
+    parent: int | None
+    remote: int | None
 
 
-@dataclass(frozen=True)
-class EnriquesDiagram:
-    """A weighted proximity forest, vertices listed parent-before-child."""
+class EnriquesDiagram(_Record, namedtuple("EnriquesDiagram", "vertices")):
+    """A weighted proximity forest, vertices listed parent-before-child.
 
+    Its length is its vertex count."""
+
+    __slots__ = ()
     vertices: tuple[Vertex, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, vertices: tuple[Vertex, ...]) -> None:
         for i, v in enumerate(self.vertices):
             if v.parent is not None and not 0 <= v.parent < i:
                 raise ValueError(f"vertex {i}: parent {v.parent} does not precede it")
@@ -97,10 +115,10 @@ class EnriquesDiagram:
         return out
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record, namedtuple("Violation", "axiom vertex detail")):
     """First failed diagram axiom, with the offending vertex."""
 
+    __slots__ = ()
     axiom: str
     vertex: int
     detail: str
@@ -158,10 +176,11 @@ def _proximity(diagram: EnriquesDiagram) -> tuple[list[int], list[bool]]:
     return loads, has_child
 
 
-@dataclass(frozen=True)
-class DiagramInvariants:
+class DiagramInvariants(_Record, namedtuple("DiagramInvariants", "roots free_vertices dim deg"
+                                            " cod delta branches milnor jacobian_mult")):
     """The numerical invariants; the defining identities are rechecked."""
 
+    __slots__ = ()
     roots: int
     free_vertices: int
     dim: int
@@ -172,7 +191,7 @@ class DiagramInvariants:
     milnor: int
     jacobian_mult: int | None
 
-    def __post_init__(self) -> None:
+    def __init__(self, *fields: int | None, **named: int | None) -> None:
         if (
             self.dim != self.roots + self.free_vertices
             or self.cod != self.deg - self.dim
@@ -210,10 +229,10 @@ def invariants(diagram: EnriquesDiagram) -> DiagramInvariants:
     )
 
 
-@dataclass(frozen=True)
-class InequalityResult:
+class InequalityResult(_Record, namedtuple("InequalityResult", "part holds equality")):
     """Outcome of one invariant inequality: does it hold, and sharply?"""
 
+    __slots__ = ()
     part: str
     holds: bool
     equality: bool

@@ -31,6 +31,8 @@ from operator import or_
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, Sequence
 
+from . import ExactnessError  # defined by the package, which enriques imports without this
+
 Scalar = int | Fraction
 
 #: Exponent tuple, one entry per context variable.
@@ -41,13 +43,6 @@ _SLOT = (1 << _SLOT_BITS) - 1
 
 #: The largest exponent a polynomial holds: a slot without its guard bit.
 MAX_EXPONENT = (1 << (_SLOT_BITS - 1)) - 1
-
-
-class ExactnessError(AssertionError):
-    """An exact result broke an identity it must satisfy: a bug, not bad input.
-
-    Raised by explicit checks, so it fires under ``python -O`` too.
-    """
 
 
 def integer(value: Scalar, what: str) -> int:

@@ -24,6 +24,27 @@ SRC = str(Path(nodepoly.__file__).resolve().parents[1])
 #: dataclass creation need.
 HEAVY = ("nodepoly.enriques", "dataclasses", "inspect", "json", "csv")
 
+#: Every submodule of the package.
+MODULES = tuple(sorted(
+    f"nodepoly.{path.stem}" for path in Path(nodepoly.__file__).parent.glob("*.py")
+    if path.stem != "__init__"
+))
+
+#: A polynomial command, the back end it runs, and the modules it leaves unloaded.
+BACK_ENDS = [
+    (["plane", "--r", "5", "--m", "4"], "surface", ("abelian", "grassmann")),
+    (["plane", "--symbolic", "--r", "3"], "surface", ("abelian", "grassmann")),
+    (["plane", "--table"], "surface", ("abelian", "grassmann")),
+    (["validity", "plane", "--r", "2", "--m", "3"], "surface", ("abelian", "grassmann")),
+    (["p4", "--m", "5"], "grassmann", ("surface", "abelian")),
+    (["p4", "--irreducible"], "grassmann", ("surface", "abelian")),
+    (["abelian", "--r", "2", "--g", "3"], "abelian", ("surface", "grassmann")),
+    (["abelian", "--oracle", "--r", "2", "--g", "3"], "abelian", ("surface", "grassmann")),
+    (["validity", "kva", "--surface", "k3", "--m", "1", "--d", "8", "--k", "2"], "abelian",
+     ("surface", "grassmann")),
+    (["bq", "--q", "2"], "nodegen", ("surface", "grassmann", "abelian", "truncated")),
+]
+
 ENRIQUES_NAMES = (
     "DiagramInvariants", "EnriquesDiagram", "Vertex", "enumerate_diagrams",
     "invariants", "inequality_report", "named_diagram", "validate",
@@ -40,17 +61,17 @@ def fresh_python(script: str) -> subprocess.CompletedProcess:
 
 class TestImportFootprint:
     #: Runs commands in one fresh process and prints, as its last line, which
-    #: of HEAVY the import and the commands loaded.
+    #: of the watched modules the import and the commands loaded.
     SCRIPT = """
 import sys
 before = set(sys.modules)
 import nodepoly.cli
 codes = [nodepoly.cli.run(argv) for argv in {argvs!r}]
-print([codes, sorted(set({heavy!r}) & (set(sys.modules) - before))])
+print([codes, sorted(set({watch!r}) & (set(sys.modules) - before))])
 """
 
-    def loaded(self, *argvs: list[str]) -> list[str]:
-        proc = fresh_python(self.SCRIPT.format(argvs=list(argvs), heavy=HEAVY))
+    def loaded(self, *argvs: list[str], watch: tuple[str, ...] = HEAVY) -> list[str]:
+        proc = fresh_python(self.SCRIPT.format(argvs=list(argvs), watch=watch))
         assert proc.returncode == 0, proc.stderr
         codes, loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
         assert codes == [0] * len(argvs)
@@ -73,6 +94,32 @@ print([codes, sorted(set({heavy!r}) & (set(sys.modules) - before))])
     def test_enumeration_loads_enriques(self):
         loaded = self.loaded(["enriques", "enumerate", "--max-v", "2", "--max-w", "1"])
         assert "nodepoly.enriques" in loaded
+
+    def test_package_import_loads_no_submodule(self):
+        proc = fresh_python(
+            "import sys, nodepoly\n"
+            "print(sorted(name for name in sys.modules if name.startswith('nodepoly.')))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert ast.literal_eval(proc.stdout.splitlines()[-1]) == []
+
+    def test_cli_import_loads_no_other_submodule(self):
+        assert self.loaded(watch=MODULES) == ["nodepoly.cli"]
+
+    @pytest.mark.parametrize("argv,own,absent", BACK_ENDS)
+    def test_a_polynomial_command_loads_its_own_back_end_only(self, argv, own, absent):
+        loaded = self.loaded(argv, watch=MODULES)
+        assert f"nodepoly.{own}" in loaded
+        assert not {f"nodepoly.{name}" for name in absent} & set(loaded)
+
+    @pytest.mark.parametrize("mode", ["check", "enumerate"])
+    def test_an_enriques_command_loads_no_polynomial_module(self, mode, tmp_path):
+        diagram = tmp_path / "a2.txt"
+        diagram.write_text("0 2 - -\n1 1 0 -\n2 1 1 0\n", encoding="utf-8")
+        argv = {"check": ["enriques", "check", str(diagram)],
+                "enumerate": ["enriques", "enumerate", "--max-v", "2", "--max-w", "1"]}[mode]
+        loaded = self.loaded(argv, watch=(*MODULES, "dataclasses"))
+        assert loaded == ["nodepoly.cli", "nodepoly.enriques"]
 
 
 class TestLazyNamespace:
@@ -105,6 +152,15 @@ class TestLazyNamespace:
         listed = dir(nodepoly)
         assert set(ENRIQUES_NAMES) | {"enriques", "Poly", "node_polynomials"} <= set(listed)
         assert listed == sorted(listed)
+
+    def test_a_resolved_name_is_bound(self):
+        proc = fresh_python(
+            "import nodepoly\n"
+            "assert 'Poly' not in vars(nodepoly)\n"
+            "assert nodepoly.Poly is nodepoly.exactpoly.Poly\n"
+            "assert 'Poly' in vars(nodepoly)\n"
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_first_access_imports_enriques(self):
         proc = fresh_python(
