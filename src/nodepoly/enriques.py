@@ -40,7 +40,7 @@ from collections import namedtuple
 from functools import cache
 from itertools import chain, starmap
 from math import comb
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from . import ExactnessError
 
@@ -48,9 +48,14 @@ from . import ExactnessError
 class _Record(tuple):
     """A named tuple equal only to a record of its own type, as a frozen dataclass
     is, and hashed as the tuple of its fields.  The records below derive from it
-    and from their ``namedtuple``; those with a ``__init__`` check their fields."""
+    and from their ``namedtuple``; those with a ``__init__`` check their fields,
+    also in ``_make`` and ``_replace``."""
 
     __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields: Iterable[object]) -> _Record:
+        return cls(*fields)
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and tuple.__eq__(self, other)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import nodepoly
-from nodepoly import ChernNumbers, NodePolynomialSet, parse
+from nodepoly import ChernNumbers, ExactnessError, NodePolynomialSet, parse
 from nodepoly.cli import OutputRecord
 from nodepoly.enriques import (
     EnriquesDiagram, InequalityResult, Vertex, Violation, invariants, named_diagram,
@@ -315,3 +315,12 @@ def test_enriques_record_is_not_the_tuple_of_its_fields(kind):
     fields = tuple(getattr(record, name) for name in type(record).__annotations__)
     assert record != fields and fields != record
     assert not (record == fields or fields == record)
+
+
+def test_enriques_replace_runs_the_construction_checks():
+    diagram = RECORDS["EnriquesDiagram"][0]()
+    assert diagram._replace(vertices=diagram.vertices[:2]) == EnriquesDiagram(diagram.vertices[:2])
+    with pytest.raises(ValueError, match="vertex 1: parent 3 does not precede it"):
+        diagram._replace(vertices=(Vertex(1), Vertex(1, 3)))
+    with pytest.raises(ExactnessError, match="invariants break their defining identities"):
+        RECORDS["DiagramInvariants"][0]()._replace(dim=99)
