@@ -22,6 +22,7 @@ from nodepoly.abelian import (
     nodal_locus_class,
     abelian_validity,
 )
+from nodepoly.bell import nodal_class
 from nodepoly.exactpoly import ExactnessError, Poly, parse
 from nodepoly.surface import ChernNumbers, severi_degree
 from nodepoly.truncated import Truncated
@@ -99,6 +100,13 @@ class TestAq:
             j = e1 + 2 * e2  # base grade
             assert j <= 2
             assert eh == r - j
+
+
+    @pytest.mark.parametrize("r", range(9))
+    def test_class_is_the_plain_class_truncated_once(self, r):
+        aq = [abelian_aq(q) for q in range(1, r + 1)]
+        plain = nodal_class(aq, Poly.constant(1, abelian._AQ_CONTEXT))
+        assert nodal_locus_class(r) == plain.truncated(_BASE, 2)
 
 
 class TestTable:

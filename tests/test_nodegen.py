@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nodepoly import grassmann, nodegen
+from nodepoly import abelian, grassmann, nodegen, surface
 from nodepoly.bell import bell_value, nodal_class
 from nodepoly.cli import run
 from nodepoly.exactpoly import Poly, parse
@@ -249,6 +249,34 @@ class TestWhatTheChecksSee:
     def test_g34_table_gives_salmons_tritangent_planes(self):
         count = on_g34(nodal_class([grass_aq(q) for q in range(1, 4)], GRASS_ONE))
         assert [count.evaluate({"m": m}) for m in (3, 4)] == [45, 3200]
+
+
+#: Each back end's images of v, w1, w2, grading, table and the q it integrates
+#: b_q for, with the cap above which its fiber or surface classes vanish.
+BACK_END_ROUTES = {
+    "surface": ({"v": parse("c + h"), "w1": parse("K"), "w2": parse("X")}, surface._SURFACE,
+                surface._SURFACE_INTEGRALS, 2, range(1, 9)),
+    "plane bundle": (PLANE_BUNDLE_IMAGES, grassmann._FIBER, grassmann._FIBER_INTEGRALS, 4,
+                     range(1, 7)),
+    "line restriction": ({**PLANE_BUNDLE_IMAGES, "v": parse("4*f + q1")}, grassmann._FIBER,
+                         grassmann._FIBER_INTEGRALS, 4, range(1, 7)),
+    "abelian fiber": ({"v": parse("l + h"), "w1": 0, "w2": 0}, abelian._FIBER,
+                      abelian._FIBER_INTEGRALS, 4, range(1, 9)),
+}
+
+
+class TestIntegrationNeedsNoTruncation:
+    """Every key of a back end's table lies at or below its cap, so integrating
+    b_q at the images gives the same class with or without truncating first."""
+
+    @pytest.mark.parametrize("route,q", [(route, q) for route, (*_, qs) in BACK_END_ROUTES.items()
+                                         for q in qs])
+    def test_integral_of_the_substituted_bq(self, route, q):
+        images, weights, table, cap, _ = BACK_END_ROUTES[route]
+        bq = node_polynomial(q)
+        integral = integrate(bq.substitute(images), weights, table)
+        assert integral == pushforward(bq, images, weights, cap, table)
+        assert not integral.is_zero()
 
 
 class TestQTransform:
