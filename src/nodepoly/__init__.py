@@ -39,7 +39,6 @@ _HOME = {name: module for module, names in [
                   " threefold_validity"),
     ("nodegen", "NodePolynomialSet node_polynomials q_transform"),
     ("surface", "ChernNumbers plane_count plane_validity severi_degree surface_aq"),
-    ("truncated", "Truncated"),
 ] for name in names.split()}
 
 __all__ = sorted(["ExactnessError", *_HOME])

@@ -14,7 +14,10 @@ h on Y.  Integration over the first factor obeys
 
 where C1, C2 are the Chern classes of the rank-d/2 direct-image bundle whose
 projectivization is Y.  This route keeps every coefficient polynomial in d
-(no division by d ever occurs).  Together with the top integrals
+(no division by d ever occurs).  The r-nodal class, the Bell polynomial in
+the a_q, is truncated once above base grade 2, where classes on the dual
+surface vanish; truncation is a ring map, so truncating the a_q first would
+give the same class.  Together with the top integrals
 
     integral C1^2 = d        integral C2 = d/2 - 1
 
@@ -45,14 +48,12 @@ from functools import lru_cache
 from math import factorial
 
 from .bell import nodal_class
-from .exactpoly import ExactnessError, Poly, integer, parse
+from .exactpoly import ExactnessError, Poly, integer, integrate, parse
 from .nodegen import node_polynomial
-from .truncated import Truncated, integrate, pushforward
 
-#: The fiber grading: l^j = 0 for j > 4, and integration over the first
-#: factor, keyed by the exponent of l.
+#: The fiber grading, and integration over the first factor, keyed by the
+#: exponent of l.
 _FIBER = {"l": 1}
-_FIBER_CAP = 4
 _FIBER_INTEGRALS = {
     (2,): Poly.variable("d"),
     (3,): 6 * Poly.variable("C1"),
@@ -76,7 +77,7 @@ _POINT_INTEGRALS = {
 }
 
 #: A class of total grade r has weighted degree r in these weights.
-_TOTAL_GRADE = {"C1": 1, "C2": 2, "h": 1, "d": 0}
+_TOTAL_GRADE = {**_BASE, "h": 1, "d": 0}
 
 _AQ_CONTEXT = ("C1", "C2", "h", "d")
 
@@ -94,7 +95,7 @@ def abelian_aq(q: int) -> Poly:
     which is polynomial in d (never rational in d).
     """
     images = {"v": parse("l + h"), "w1": 0, "w2": 0}
-    aq = pushforward(node_polynomial(q), images, _FIBER, _FIBER_CAP, _FIBER_INTEGRALS)
+    aq = integrate(node_polynomial(q).substitute(images), _FIBER, _FIBER_INTEGRALS)
     aq = aq.in_context(_AQ_CONTEXT)
     if aq.denominator != 1:
         raise ExactnessError(f"a_{q} picked up a rational coefficient; route bug")
@@ -105,13 +106,13 @@ def abelian_aq(q: int) -> Poly:
 def nodal_locus_class(r: int) -> Poly:
     """The class of the r-nodal locus on Y: P_r(a_1,...,a_r)/r!.
 
-    A polynomial in (C1, C2, h, d) of total grade r, with base grade at most 2.
-    Cached per r (nine entries at most).
+    A polynomial in (C1, C2, h, d) of total grade r, truncated to base grade
+    at most 2.  Cached per r (nine entries at most).
     """
     if not 0 <= r <= 8:
         raise ValueError(f"r must be in 0..8: {r}")
-    aq = [Truncated(abelian_aq(q), _BASE, _BASE_CAP) for q in range(1, r + 1)]
-    cls = nodal_class(aq, Truncated(1, _BASE, _BASE_CAP)).poly
+    aq = [abelian_aq(q) for q in range(1, r + 1)]
+    cls = nodal_class(aq, Poly.constant(1, _AQ_CONTEXT)).truncated(_BASE, _BASE_CAP)
     if not cls.is_weighted_homogeneous(_TOTAL_GRADE, r):
         raise ExactnessError(f"the {r}-nodal class is not pure of total grade {r}")
     return cls

@@ -14,8 +14,9 @@ differentiating the identity in t:
     P_{n+1} = sum_{k=0}^{n} C(n, k) * a_{k+1} * P_{n-k}
 
 Evaluation substitutes ring elements for the a_j, so the same polynomials
-drive exact counts over plain rationals, polynomials in one parameter, and
-the truncated class algebra (``truncated.Truncated``) of the back ends.
+drive exact counts over plain rationals and over the back ends' polynomial
+classes.  Truncating above a weighted degree is a ring homomorphism, so the
+class of truncated arguments is the truncation of the class.
 """
 
 from __future__ import annotations

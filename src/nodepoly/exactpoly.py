@@ -13,7 +13,7 @@ substrate for the whole package and never touches floating point.
 
 Two polynomials over different variable contexts are reconciled by extending each to
 the union context with zero exponents, so ``v + q1`` just works; ``in_one_context`` does
-so once for an evaluation's images.  Equality is semantic: it compares reconciled terms.
+so once for the images of ``substitute``.  Equality is semantic: it compares reconciled terms.
 
 The canonical text form sorts terms by graded-lexicographic order on exponent
 vectors, highest first, and prints coefficients as ``num/den`` with the
@@ -473,7 +473,7 @@ def parse(text: str, variables: Iterable[str] | None = None) -> Poly:
 
 def in_one_context(images: Mapping[str, Poly | Scalar]) -> tuple[dict[str, Poly], Poly]:
     """Each image, a polynomial or a scalar, over the union of the images' contexts, and the
-    1 of that context: the one context step before every evaluation at images."""
+    1 of that context: the one context step of ``Poly.substitute``."""
     polys = {v: img if isinstance(img, Poly) else Poly.constant(img) for v, img in images.items()}
     union = tuple(dict.fromkeys(w for img in polys.values() for w in img._variables))
     return {v: img.in_context(union) for v, img in polys.items()}, Poly.constant(1, union)
@@ -517,3 +517,20 @@ def evaluate_in(poly: Poly, values: Mapping[str, Any], one: Any) -> Any:
     if total is None:
         return 0 * one
     return total if poly._den == 1 else Fraction(1, poly._den) * total
+
+
+def integrate(
+    poly: Poly, weights: Mapping[str, int], table: Mapping[Exponents, Poly | Scalar]
+) -> Poly:
+    """The linear map sending each monomial in the graded variables through ``table``.
+
+    Keys are exponent tuples of the graded variables, in the order of
+    ``weights``; a monomial with no key integrates to 0.  The remaining
+    variables are carried through unchanged, in their order in ``poly``.
+    """
+    rest = tuple(v for v in poly.variables if v not in weights)
+    total = Poly.zero(rest)
+    for key, part in poly.coefficients_in(tuple(weights)).items():
+        if key in table:
+            total = total + part.in_context(rest) * table[key]
+    return total

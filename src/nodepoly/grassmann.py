@@ -36,13 +36,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bell import nodal_class
-from .exactpoly import Poly, integer, parse
+from .exactpoly import Poly, integer, integrate, parse
 from .nodegen import node_polynomial
-from .truncated import integrate, pushforward
 
-#: The fiber grading: f^j = 0 for j > 4 on the tautological plane bundle.
+#: The fiber grading on the tautological plane bundle.
 _FIBER = {"f": 1}
-_FIBER_CAP = 4
 
 #: Integration over the plane fibers, keyed by the exponent of f.
 _FIBER_INTEGRALS = {
@@ -69,7 +67,7 @@ _ONE = Poly.constant(1, _CONTEXT)
 def _aq_for(v: Poly, q: int) -> Poly:
     """Push b_q at v and the tautological w1, w2 down to the Grassmannian."""
     images = {"v": v, "w1": parse("q1 - 3*f"), "w2": parse("q2 - 2*f*q1 + 3*f^2")}
-    pushed = pushforward(node_polynomial(q), images, _FIBER, _FIBER_CAP, _FIBER_INTEGRALS)
+    pushed = integrate(node_polynomial(q).substitute(images), _FIBER, _FIBER_INTEGRALS)
     return pushed.in_context(_CONTEXT)
 
 

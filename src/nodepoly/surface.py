@@ -26,17 +26,15 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .bell import nodal_class
-from .exactpoly import ExactnessError, Poly, Scalar, evaluate_in, parse
+from .exactpoly import ExactnessError, Poly, Scalar, evaluate_in, integrate, parse
 from .nodegen import node_polynomial
-from .truncated import pushforward
 
-#: The surface grading: c and K have degree 1, the point class X degree 2,
-#: and everything above surface degree 2 vanishes.
+#: The surface grading: c and K have degree 1, the point class X degree 2.
 _SURFACE = {"c": 1, "K": 1, "X": 2}
-_SURFACE_CAP = 2
 
 #: Integrals of the surface-degree-2 monomials, keyed by the exponents of
-#: (c, K, X), as the symbolic Chern numbers d, k, s, x.
+#: (c, K, X), as the symbolic Chern numbers d, k, s, x; every other monomial
+#: integrates to 0.
 _SURFACE_INTEGRALS = {
     (2, 0, 0): Poly.variable("d"),
     (1, 1, 0): Poly.variable("k"),
@@ -81,11 +79,11 @@ class ChernNumbers(NamedTuple):
 def _universal_aq(q: int) -> Poly:
     """a_q as a linear form in the symbolic Chern numbers d, k, s, x.
 
-    b_q is evaluated at v = c + h, w1 = K, w2 = X modulo surface degree 3
-    and integrated over the surface; every surviving monomial lands in h^q.
+    b_q is evaluated at v = c + h, w1 = K, w2 = X and integrated over the
+    surface; every monomial of surface degree 2 lands in h^q.
     """
     images = {"v": parse("c + h"), "w1": parse("K"), "w2": parse("X")}
-    total = pushforward(node_polynomial(q), images, _SURFACE, _SURFACE_CAP, _SURFACE_INTEGRALS)
+    total = integrate(node_polynomial(q).substitute(images), _SURFACE, _SURFACE_INTEGRALS)
     form = total.coefficient_of("h", q)
     if total != form * Poly.variable("h") ** q:
         raise ExactnessError(f"pushforward of b_{q} is not concentrated in h^{q}")

@@ -30,7 +30,7 @@ from nodepoly.enriques import (
     inequality_report,
     named_diagram,
 )
-from nodepoly.exactpoly import Poly, parse
+from nodepoly.exactpoly import Poly, integrate, parse
 from nodepoly.grassmann import (
     _FIBER,
     _FIBER_INTEGRALS,
@@ -50,7 +50,6 @@ from nodepoly.nodegen import (
     q_transform,
 )
 from nodepoly.surface import ChernNumbers, plane_count, plane_validity, surface_aq
-from nodepoly.truncated import integrate
 
 GOLDEN = Path(__file__).parent / "golden"
 PLANE = ChernNumbers.plane()

@@ -9,7 +9,6 @@ import pytest
 
 from nodepoly.bell import MAX_ORDER, bell_polynomial, bell_value, nodal_class
 from nodepoly.exactpoly import Poly, parse
-from nodepoly.truncated import Truncated
 
 
 def series_exponentiation(n: int) -> Poly:
@@ -124,9 +123,12 @@ class TestNodalClass:
         assert nodal_class([], one) == one
 
     def test_truncated_ring(self):
-        # the class of truncated arguments is the truncation of the class
-        aq = [parse("x + 2*y"), parse("x^2 - y"), parse("x*y + 3")]
+        # truncating the arguments, then the class, equals truncating the class
+        aq = [parse("x + 2*y"), parse("x^2 - y + x^3*y"), parse("x*y + 3")]
         weights, cap = {"x": 1}, 2
-        one = Truncated(1, weights, cap)
-        truncated = nodal_class([Truncated(a, weights, cap) for a in aq], one)
-        assert truncated.poly == nodal_class(aq, Poly.constant(1)).truncated(weights, cap)
+        one = Poly.constant(1)
+        reduced = [a.truncated(weights, cap) for a in aq]
+        assert reduced != aq
+        truncated = nodal_class(reduced, one).truncated(weights, cap)
+        assert truncated == nodal_class(aq, one).truncated(weights, cap)
+        assert truncated != nodal_class(aq, one)

@@ -14,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nodepoly
+from nodepoly.abelian import _FIBER, _FIBER_INTEGRALS
 from nodepoly.exactpoly import (
-    MAX_EXPONENT, ExactnessError, Poly, in_one_context, integer, parse,
+    MAX_EXPONENT, ExactnessError, Poly, in_one_context, integer, integrate, parse,
 )
+from nodepoly.nodegen import node_polynomial
 
 V = Poly.variable
 C = Poly.constant
@@ -123,6 +125,61 @@ class TestSubstitute:
 
 
 DIVISOR = parse("e^3 + w1*e^2 + w2*e", ("e", "w1", "w2"))
+
+
+#: x and y are graded (weights 1 and 2), a and b are coefficients; the keys of
+#: the table lie at or below the cap.
+GRADED = {"x": 1, "y": 2}
+GRADED_CAP = 2
+INTEGRALS = {(2, 0): 3, (0, 1): Poly.variable("d")}
+
+
+class TestIntegrate:
+    def test_table(self):
+        assert integrate(parse("x^2"), GRADED, INTEGRALS) == 3
+        assert integrate(parse("a*y + b*x^2"), GRADED, INTEGRALS) == parse("a*d + 3*b")
+
+    def test_monomial_with_no_key_is_zero(self):
+        assert integrate(parse("x + x*y + y^2 + a + b*x^3"), GRADED, INTEGRALS).is_zero()
+
+    def test_needs_no_truncation(self):
+        # monomials above the cap have no key, so truncating first changes nothing
+        poly = parse("x^5*a + x^2*y^3 + x^2*b + y")
+        assert integrate(poly, GRADED, INTEGRALS) == integrate(
+            poly.truncated(GRADED, GRADED_CAP), GRADED, INTEGRALS)
+
+    @pytest.mark.parametrize("alpha,beta", [(1, 1), (2, -3), (0, 5)])
+    def test_linear(self, alpha, beta):
+        p, q = parse("a*x^2 + y + x"), parse("b*y - x^2 + a*b + 1/2*x^2*b")
+        parts = alpha * integrate(p, GRADED, INTEGRALS) + beta * integrate(q, GRADED, INTEGRALS)
+        assert integrate(alpha * p + beta * q, GRADED, INTEGRALS) == parts
+
+    def test_carries_the_other_variables_in_their_order(self):
+        poly = parse("b*x^2 + a*x*y + b*y + 3*a*x^2", ("b", "x", "a", "y"))
+        result = integrate(poly, GRADED, {(2, 0): 1})
+        assert result.variables == ("b", "a")
+        assert result == parse("b + 3*a")
+        assert integrate(poly, GRADED, INTEGRALS).variables == ("b", "a", "d")
+
+    def test_keys_follow_the_order_of_weights(self):
+        poly = parse("x*y^2")
+        assert integrate(poly, {"x": 1, "y": 2}, {(1, 2): 7}) == 7
+        assert integrate(poly, {"y": 2, "x": 1}, {(2, 1): 7}) == 7
+        assert integrate(poly, {"y": 2, "x": 1}, {(1, 2): 7}).is_zero()
+
+
+class TestScalarImages:
+    @pytest.mark.parametrize("q", [1, 2, 4])
+    @pytest.mark.parametrize("w", [0, 2])
+    def test_scalar_images_equal_poly_images(self, q, w):
+        # the abelian fiber: v -> l + h, w1 -> w, w2 -> 0, integrated over l
+        bq, v = node_polynomial(q), parse("l + h")
+        scalar = integrate(bq.substitute({"v": v, "w1": w, "w2": 0}), _FIBER, _FIBER_INTEGRALS)
+        images = {"v": v, "w1": Poly.constant(w, ("l",)), "w2": Poly.zero(("h",))}
+        as_polys = integrate(bq.substitute(images), _FIBER, _FIBER_INTEGRALS)
+        substituted = bq.substitute(images).truncated(_FIBER, 4)
+        assert scalar == as_polys == integrate(substituted, _FIBER, _FIBER_INTEGRALS)
+        assert not scalar.is_zero()
 
 
 class TestDivrem:

@@ -9,11 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from nodepoly.exactpoly import Poly, parse
+from nodepoly.exactpoly import Poly, integrate, parse
 from nodepoly.grassmann import (
     DEGREE6_INTEGRALS,
     _FIBER,
-    _FIBER_CAP,
     _FIBER_INTEGRALS,
     SMOOTH_CONICS_ON_QUINTIC,
     LINES_ON_QUINTIC,
@@ -27,7 +26,6 @@ from nodepoly.grassmann import (
     threefold_validity,
 )
 from nodepoly.nodegen import node_polynomial
-from nodepoly.truncated import Truncated, integrate
 from oracles import (
     conics_on_quintic,
     grassmannian_integral,
@@ -38,34 +36,25 @@ from oracles import (
 GOLDEN = Path(__file__).parent / "golden"
 
 
-def fiber(value) -> Truncated:
-    """A class on the tautological plane bundle, reduced by f^5 = 0."""
-    return Truncated(value, _FIBER, _FIBER_CAP)
+def push(cls: Poly) -> Poly:
+    """A class on the tautological plane bundle integrated over the fibers."""
+    return integrate(cls, _FIBER, _FIBER_INTEGRALS)
 
 
-def push(cls: Truncated) -> Poly:
-    return integrate(cls.poly, _FIBER, _FIBER_INTEGRALS)
-
-
-F = fiber(Poly.variable("f"))
+F = Poly.variable("f")
 F3 = F * F * F
 F4 = F3 * F
-Q1 = fiber(Poly.variable("q1"))
+Q1 = Poly.variable("q1")
 
 
 class TestFiberClasses:
-    def test_truncation_is_eager(self):
-        assert fiber(Poly.variable("f") ** 5).poly.is_zero()
-        assert (F4 * F).poly.is_zero()
-        assert (F3 * F * F).poly.is_zero()
-        assert not F4.poly.is_zero()
-
     def test_pushforward_table(self):
         assert push(F * F) == parse("1", ("q1", "q2", "m"))
         assert push(F) == Poly.zero()
-        assert push(fiber(1)) == Poly.zero()
+        assert push(Poly.constant(1)) == Poly.zero()
         assert push(F3) == parse("q1", ("q1", "q2", "m"))
         assert push(F4) == parse("q1^2 - q2", ("q1", "q2", "m"))
+        assert push(F4 * F).is_zero()
 
     def test_pushforward_linearity(self):
         assert push(Q1 * F3) == parse("q1^2", ("q1", "q2", "m"))

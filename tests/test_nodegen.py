@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from nodepoly import abelian, grassmann, nodegen, surface
 from nodepoly.bell import bell_value, nodal_class
 from nodepoly.cli import run
-from nodepoly.exactpoly import Poly, parse
+from nodepoly.exactpoly import Poly, integrate, parse
 from nodepoly.grassmann import grass_aq, grass_integrate
 from nodepoly.nodegen import (
     CLASS_VARIABLES,
@@ -29,7 +29,6 @@ from nodepoly.nodegen import (
     q_transform,
 )
 from nodepoly.surface import ChernNumbers
-from nodepoly.truncated import integrate, pushforward
 from oracles import jet_bundle_top_class, node_polynomials_by_recursion
 from test_surface import pushforward_monomial
 
@@ -227,8 +226,8 @@ class TestWhatTheChecksSee:
             }
             if q <= 6:
                 db = Poly(CLASS_VARIABLES, {exps: 1})
-                da = pushforward(db, PLANE_BUNDLE_IMAGES, grassmann._FIBER, grassmann._FIBER_CAP,
-                                 grassmann._FIBER_INTEGRALS)
+                da = integrate(db.substitute(PLANE_BUNDLE_IMAGES), grassmann._FIBER,
+                               grassmann._FIBER_INTEGRALS)
                 checked["degree 18"] = grass_integrate(derivative(6, da))
             if q <= 3:
                 checked["degree 9"] = grass_integrate(derivative(3, da) * q1**3)
@@ -275,7 +274,7 @@ class TestIntegrationNeedsNoTruncation:
         images, weights, table, cap, _ = BACK_END_ROUTES[route]
         bq = node_polynomial(q)
         integral = integrate(bq.substitute(images), weights, table)
-        assert integral == pushforward(bq, images, weights, cap, table)
+        assert integral == integrate(bq.substitute(images).truncated(weights, cap), weights, table)
         assert not integral.is_zero()
 
 

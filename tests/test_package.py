@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -19,6 +20,7 @@ from nodepoly.enriques import (
 )
 
 SRC = str(Path(nodepoly.__file__).resolve().parents[1])
+README = Path(__file__).parents[1] / "README.md"
 
 #: Modules that only the Enriques commands, the json and csv formats, or
 #: dataclass creation need.
@@ -42,7 +44,7 @@ BACK_ENDS = [
     (["abelian", "--oracle", "--r", "2", "--g", "3"], "abelian", ("surface", "grassmann")),
     (["validity", "kva", "--surface", "k3", "--m", "1", "--d", "8", "--k", "2"], "abelian",
      ("surface", "grassmann")),
-    (["bq", "--q", "2"], "nodegen", ("surface", "grassmann", "abelian", "truncated")),
+    (["bq", "--q", "2"], "nodegen", ("surface", "grassmann", "abelian")),
 ]
 
 ENRIQUES_NAMES = (
@@ -181,6 +183,13 @@ def test_no_module_checks_with_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_readme_library_layout_lists_every_module():
+    section = README.read_text(encoding="utf-8").split("\n## Library layout\n", 1)[1]
+    table = section.split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(nodepoly\.\w+)`", table, re.MULTILINE)
+    assert tuple(sorted(rows)) == MODULES
 
 
 def test_no_module_line_is_over_100_characters():

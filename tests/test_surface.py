@@ -9,11 +9,10 @@ from pathlib import Path
 import pytest
 
 from nodepoly.bell import bell_value
-from nodepoly.exactpoly import Poly, parse
+from nodepoly.exactpoly import Poly, integrate, parse
 from nodepoly.nodegen import CLASS_VARIABLES, X4, X4_MULTIPLIER
 from nodepoly.surface import (
     _SURFACE,
-    _SURFACE_CAP,
     _SURFACE_INTEGRALS,
     ChernNumbers,
     _plane_severi_degree,
@@ -22,7 +21,6 @@ from nodepoly.surface import (
     severi_degree,
     surface_aq,
 )
-from nodepoly.truncated import pushforward
 from oracles import k3_counts, plane_severi_degree
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -38,7 +36,7 @@ def pushforward_monomial(a: int, b: int, c: int, cn: ChernNumbers) -> Poly:
     through the surface table and evaluated at the Chern numbers ``cn``."""
     images = {"v": parse("c + h"), "w1": parse("K"), "w2": parse("X")}
     monomial = Poly(CLASS_VARIABLES, {(a, b, c): 1})
-    pushed = pushforward(monomial, images, _SURFACE, _SURFACE_CAP, _SURFACE_INTEGRALS)
+    pushed = integrate(monomial.substitute(images), _SURFACE, _SURFACE_INTEGRALS)
     return pushed.substitute(
         {"d": cn.d, "k": cn.k, "s": cn.s, "x": cn.x}
     )
