@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
 from nodepoly.bell import MAX_ORDER, bell_polynomial, bell_value, nodal_class
-from nodepoly.exactpoly import Poly, parse
+from nodepoly.exactpoly import Poly, evaluate_in, parse
 
 
 def series_exponentiation(n: int) -> Poly:
@@ -132,3 +133,84 @@ class TestNodalClass:
         truncated = nodal_class(reduced, one).truncated(weights, cap)
         assert truncated == nodal_class(aq, one).truncated(weights, cap)
         assert truncated != nodal_class(aq, one)
+
+
+#: str(bell_polynomial(n)) for n = 0..8, as the symbolic construction printed them.
+BELL_TEXT = [
+    "1",
+    "a1",
+    "a1^2 + a2",
+    "a1^3 + 3*a1*a2 + a3",
+    "a1^4 + 6*a1^2*a2 + 4*a1*a3 + 3*a2^2 + a4",
+    "a1^5 + 10*a1^3*a2 + 10*a1^2*a3 + 15*a1*a2^2 + 5*a1*a4 + 10*a2*a3 + a5",
+    "a1^6 + 15*a1^4*a2 + 20*a1^3*a3 + 45*a1^2*a2^2 + 15*a1^2*a4 + 60*a1*a2*a3 + 15*a2^3"
+    " + 6*a1*a5 + 15*a2*a4 + 10*a3^2 + a6",
+    "a1^7 + 21*a1^5*a2 + 35*a1^4*a3 + 105*a1^3*a2^2 + 35*a1^3*a4 + 210*a1^2*a2*a3"
+    " + 105*a1*a2^3 + 21*a1^2*a5 + 105*a1*a2*a4 + 70*a1*a3^2 + 105*a2^2*a3 + 7*a1*a6"
+    " + 21*a2*a5 + 35*a3*a4 + a7",
+    "a1^8 + 28*a1^6*a2 + 56*a1^5*a3 + 210*a1^4*a2^2 + 70*a1^4*a4 + 560*a1^3*a2*a3"
+    " + 420*a1^2*a2^3 + 56*a1^3*a5 + 420*a1^2*a2*a4 + 280*a1^2*a3^2 + 840*a1*a2^2*a3"
+    " + 105*a2^4 + 28*a1^2*a6 + 168*a1*a2*a5 + 280*a1*a3*a4 + 210*a2^2*a4 + 280*a2*a3^2"
+    " + 8*a1*a7 + 28*a2*a6 + 56*a3*a5 + 35*a4^2 + a8",
+]
+
+
+def random_poly(rng: random.Random) -> Poly:
+    """0-3 terms over a random ordered subset of x, y, z; exponents 0..2, numerators
+    -9..9 over denominators 1..5."""
+    ctx = tuple(rng.sample("xyz", rng.randint(0, 3)))
+    terms = {
+        tuple(rng.randint(0, 2) for _ in ctx): Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        for _ in range(rng.randint(0, 3))
+    }
+    return Poly(ctx, terms)
+
+
+def generic(n: int, values, one):
+    """P_n through the symbolic polynomial, by ``evaluate_in``."""
+    return evaluate_in(bell_polynomial(n), {f"a{j}": values[j - 1] for j in range(1, n + 1)}, one)
+
+
+class TestContract:
+    """What ``bell_value`` and ``bell_polynomial`` promise, whatever builds them."""
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_text_pinned(self, n):
+        assert str(bell_polynomial(n)) == BELL_TEXT[n]
+        assert bell_polynomial(n).variables == tuple(f"a{j}" for j in range(1, n + 1))
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("n", range(9))
+    def test_poly_arguments_in_differing_contexts(self, n, seed):
+        rng = random.Random(1000 * n + seed)
+        values = [random_poly(rng) for _ in range(n + rng.randint(0, 2))]
+        one = Poly.constant(1, tuple(rng.sample("xyzw", rng.randint(0, 4))))
+        value = bell_value(n, values, one)
+        assert isinstance(value, Poly)
+        assert value == generic(n, values, one)
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("n", range(9))
+    def test_scalar_arguments(self, n, seed):
+        rng = random.Random(1000 * n + seed)
+        values = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+        value = bell_value(n, values)
+        assert isinstance(value, Fraction)
+        assert value == generic(n, values, Fraction(1))
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_result_types(self, n):
+        m = Poly.variable("m")
+        assert isinstance(bell_value(n, [Fraction(j, 3) for j in range(n)]), Fraction)
+        assert isinstance(bell_value(n, [m] * n, Poly.constant(1, ("m",))), Poly)
+
+    def test_error_messages(self):
+        with pytest.raises(ValueError, match="^need 3 values, got 1$"):
+            bell_value(3, [Fraction(1)])
+        with pytest.raises(ValueError, match="^order must be non-negative: -1$"):
+            bell_value(-1, [])
+        too_high = MAX_ORDER + 1
+        with pytest.raises(ValueError, match=f"^order {too_high} exceeds the supported cap "):
+            bell_value(too_high, [Fraction(1)] * too_high)
+        with pytest.raises(ValueError, match=f"^need {too_high} values, got 2$"):
+            bell_value(too_high, [Fraction(1)] * 2)
