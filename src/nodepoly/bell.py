@@ -13,60 +13,59 @@ differentiating the identity in t:
 
     P_{n+1} = sum_{k=0}^{n} C(n, k) * a_{k+1} * P_{n-k}
 
-Evaluation substitutes ring elements for the a_j, so the same polynomials
-drive exact counts over plain rationals and over the back ends' polynomial
-classes.  Truncating above a weighted degree is a ring homomorphism, so the
-class of truncated arguments is the truncation of the class.
+``bell_value`` runs this recurrence on the values themselves, polynomials or
+scalars, moved into one variable context first; each P_{k+1} is one sum of
+products, accumulated in one coefficient map.  So the same construction gives
+exact counts over plain rationals, the back ends' polynomial classes and, at
+the symbols a_1..a_n, ``bell_polynomial`` itself.  Truncating above a
+weighted degree is a ring homomorphism, so the class of truncated arguments
+is the truncation of the class.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
-from typing import Any, Sequence
+from typing import Sequence
 
-from .exactpoly import Poly, evaluate_in
+from .exactpoly import Poly, Scalar, in_one_context, sum_of_products
 
 #: Orders above this are refused to bound term growth; the counts computed
 #: by this package need n <= 8.
 MAX_ORDER = 16
 
 
-def _symbol(j: int) -> str:
-    return f"a{j}"
-
-
-@lru_cache(maxsize=None)
 def bell_polynomial(n: int) -> Poly:
     """The complete Bell polynomial P_n as a polynomial in a1..an."""
+    return bell_value(n, [Poly.variable(f"a{j}") for j in range(1, n + 1)], Poly.constant(1))
+
+
+def bell_value(
+    n: int, values: Sequence[Poly | Scalar], one: Poly | Scalar = Fraction(1)
+) -> Poly | Fraction:
+    """P_n evaluated at the first n entries of ``values``.
+
+    ``one`` is the identity of the ring the values live in; its context joins
+    theirs.  The result is a ``Poly`` when ``one`` or a value used is one, else
+    a ``Fraction``.
+    """
+    if len(values) < n:
+        raise ValueError(f"need {n} values, got {len(values)}")
     if n < 0:
         raise ValueError(f"order must be non-negative: {n}")
     if n > MAX_ORDER:
         raise ValueError(f"order {n} exceeds the supported cap {MAX_ORDER}")
-    if n == 0:
-        return Poly.constant(1)
-    # P_n = sum_{k=0}^{n-1} C(n-1, k) a_{k+1} P_{n-1-k}
-    total = Poly.zero(tuple(_symbol(j) for j in range(1, n + 1)))
+    args = [one, *values[:n]]
+    images, unit = in_one_context(dict(enumerate(args)))
+    bell = [unit]
     for k in range(n):
-        total = total + comb(n - 1, k) * Poly.variable(_symbol(k + 1)) * bell_polynomial(n - 1 - k)
-    return total
+        # P_{k+1} = sum_{j=0}^{k} C(k, j) a_{j+1} P_{k-j}
+        terms = [(comb(k, j), images[j + 1], bell[k - j]) for j in range(k + 1)]
+        bell.append(sum_of_products(terms))
+    return bell[n] if any(isinstance(a, Poly) for a in args) else bell[n].constant_value()
 
 
-def bell_value(n: int, values: Sequence[Any], one: Any = Fraction(1)) -> Any:
-    """P_n evaluated at the first n entries of ``values``.
-
-    The entries live in any commutative ring with + and *; ``one`` is that
-    ring's identity (used when n = 0).
-    """
-    if len(values) < n:
-        raise ValueError(f"need {n} values, got {len(values)}")
-    symbolic = bell_polynomial(n)
-    assignment = {_symbol(j + 1): values[j] for j in range(n)}
-    return evaluate_in(symbolic, assignment, one)
-
-
-def nodal_class(aq: Sequence[Any], one: Any) -> Any:
+def nodal_class(aq: Sequence[Poly | Scalar], one: Poly | Scalar) -> Poly | Fraction:
     """The r-nodal class P_r(a_1,...,a_r)/r!, with r = len(aq), in the ring of ``one``."""
     r = len(aq)
     return bell_value(r, aq, one) * Fraction(1, factorial(r))

@@ -258,11 +258,7 @@ class Poly:
             for kb, cb in right:
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
-        # 2^(32n) // (2^32 - 1) has a 1 in each of the n slots; shifted, it marks their guards
-        guards = (1 << _SLOT_BITS * len(a._variables)) // _SLOT << _SLOT_BITS - 1
-        if reduce(or_, out, 0) & guards:
-            raise ValueError(f"a product exponent exceeds MAX_EXPONENT = {MAX_EXPONENT}")
-        return Poly._new(a._variables, {k: c for k, c in out.items() if c}, a._den * b._den)
+        return _product_result(a._variables, out, a._den * b._den)
 
     def __rmul__(self, other: Any) -> Poly:
         return self.__mul__(other)
@@ -471,7 +467,43 @@ def parse(text: str, variables: Iterable[str] | None = None) -> Poly:
     return Poly(ctx, terms)
 
 
-def in_one_context(images: Mapping[str, Poly | Scalar]) -> tuple[dict[str, Poly], Poly]:
+def _product_result(variables: tuple[str, ...], out: dict[int, int], den: int) -> Poly:
+    """Accumulated product numerators over ``den``: the exponent check, then zeros dropped."""
+    # 2^(32n) // (2^32 - 1) has a 1 in each of the n slots; shifted, it marks their guards
+    guards = (1 << _SLOT_BITS * len(variables)) // _SLOT << _SLOT_BITS - 1
+    if reduce(or_, out, 0) & guards:
+        raise ValueError(f"a product exponent exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+    return Poly._new(variables, {k: c for k, c in out.items() if c}, den)
+
+
+def sum_of_products(terms: Sequence[tuple[int, Poly, Poly]]) -> Poly:
+    """The sum of c*x*y over the ``(c, x, y)`` triples, with ``c`` an ``int``.
+
+    Every polynomial must be in one context, else ValueError.  The numerators of all the
+    products meet in one map over the lcm of the triples' denominators, and the sum is
+    reduced once; no triples give the zero polynomial over the empty context.
+    """
+    if not terms:
+        return Poly.zero()
+    variables = terms[0][1]._variables
+    dens = [x._den * y._den for _, x, y in terms]
+    den = lcm(*dens)
+    out: dict[int, int] = {}
+    get = out.get
+    for (c, x, y), d in zip(terms, dens):
+        if x._variables != variables or y._variables != variables:
+            raise ValueError(f"operands over {x._variables} and {y._variables}, not {variables}")
+        scale = c * (den // d)
+        right = y._num.items()
+        for kx, cx in x._num.items():
+            cx *= scale
+            for ky, cy in right:
+                k = kx + ky
+                out[k] = get(k, 0) + cx * cy
+    return _product_result(variables, out, den)
+
+
+def in_one_context(images: Mapping[Any, Poly | Scalar]) -> tuple[dict[Any, Poly], Poly]:
     """Each image, a polynomial or a scalar, over the union of the images' contexts, and the
     1 of that context: the one context step of ``Poly.substitute``."""
     polys = {v: img if isinstance(img, Poly) else Poly.constant(img) for v, img in images.items()}

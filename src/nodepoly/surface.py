@@ -26,7 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .bell import nodal_class
-from .exactpoly import ExactnessError, Poly, Scalar, evaluate_in, integrate, parse
+from .exactpoly import ExactnessError, Poly, Scalar, integer, integrate, parse, sum_of_products
 from .nodegen import node_polynomial
 
 #: The surface grading: c and K have degree 1, the point class X degree 2.
@@ -76,8 +76,8 @@ class ChernNumbers(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _universal_aq(q: int) -> Poly:
-    """a_q as a linear form in the symbolic Chern numbers d, k, s, x.
+def _universal_aq(q: int) -> tuple[int, ...]:
+    """a_q as a linear form in the symbolic Chern numbers: its d, k, s, x coefficients.
 
     b_q is evaluated at v = c + h, w1 = K, w2 = X and integrated over the
     surface; every monomial of surface degree 2 lands in h^q.
@@ -87,13 +87,15 @@ def _universal_aq(q: int) -> Poly:
     form = total.coefficient_of("h", q)
     if total != form * Poly.variable("h") ** q:
         raise ExactnessError(f"pushforward of b_{q} is not concentrated in h^{q}")
-    return form
+    return tuple(
+        integer(form.evaluate({n: int(n == name) for n in ChernNumbers._fields}), f"a_{q}[{name}]")
+        for name in ChernNumbers._fields
+    )
 
 
 def surface_aq(q: int, cn: ChernNumbers) -> Poly:
-    """a_q in m: the cached linear form in (d, k, s, x) evaluated at the Chern numbers."""
-    point = {"d": cn.d, "k": cn.k, "s": cn.s, "x": cn.x}
-    return evaluate_in(_universal_aq(q), point, _ONE)
+    """a_q in m: the cached form's coefficients times the Chern numbers, in (d, k, s, x) order."""
+    return sum_of_products([(c, number, _ONE) for c, number in zip(_universal_aq(q), cn)])
 
 
 def severi_degree(r: int, cn: ChernNumbers | None = None) -> Poly:

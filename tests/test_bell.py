@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from importlib import import_module
 from math import comb, factorial
 
 import pytest
 
+from nodepoly import bell, cli
 from nodepoly.bell import MAX_ORDER, bell_polynomial, bell_value, nodal_class
 from nodepoly.exactpoly import Poly, evaluate_in, parse
 
@@ -203,6 +205,8 @@ class TestContract:
         m = Poly.variable("m")
         assert isinstance(bell_value(n, [Fraction(j, 3) for j in range(n)]), Fraction)
         assert isinstance(bell_value(n, [m] * n, Poly.constant(1, ("m",))), Poly)
+        assert isinstance(bell_value(n, list(range(n))), Fraction)
+        assert isinstance(bell_value(n, list(range(n)), Poly.constant(1)), Poly)
 
     def test_error_messages(self):
         with pytest.raises(ValueError, match="^need 3 values, got 1$"):
@@ -214,3 +218,28 @@ class TestContract:
             bell_value(too_high, [Fraction(1)] * too_high)
         with pytest.raises(ValueError, match=f"^need {too_high} values, got 2$"):
             bell_value(too_high, [Fraction(1)] * 2)
+
+
+def clear_caches() -> None:
+    """Empty every ``lru_cache`` of the computing modules."""
+    for name in ("exactpoly", "bell", "nodegen", "surface", "grassmann", "abelian"):
+        for value in vars(import_module(f"nodepoly.{name}")).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [
+    "plane --r 8 --m 5", "plane --symbolic --r 8", "abelian --table", "p4 --irreducible", "bq --q 8",
+])
+def test_commands_never_build_the_symbolic_polynomial(argv, capsys, monkeypatch):
+    clear_caches()
+    assert cli.run(argv.split()) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(n):
+        raise RuntimeError(f"bell_polynomial({n}) built on a command path")
+
+    clear_caches()
+    monkeypatch.setattr(bell, "bell_polynomial", refuse)
+    assert cli.run(argv.split()) == 0
+    assert capsys.readouterr().out == expected

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import subprocess
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import nodepoly
 from nodepoly.abelian import _FIBER, _FIBER_INTEGRALS
 from nodepoly.exactpoly import (
-    MAX_EXPONENT, ExactnessError, Poly, in_one_context, integer, integrate, parse,
+    MAX_EXPONENT, ExactnessError, Poly, in_one_context, integer, integrate, parse, sum_of_products,
 )
 from nodepoly.nodegen import node_polynomial
 
@@ -593,6 +594,59 @@ class TestExponentCap:
         p = Poly(("x", "y"), {(2**30, 3): 1}) * Poly(("x", "y"), {(2**30 - 1, 2): 1})
         assert p.terms == {(MAX_EXPONENT, 5): 1}
         assert str(p) == f"x^{MAX_EXPONENT}*y^5"
+
+
+class TestSumOfProducts:
+    XY = ("x", "y")
+
+    def test_one_triple_is_the_product(self):
+        x, y = parse("1/2*x - y + 3", self.XY), parse("x*y + 2/3", self.XY)
+        assert sum_of_products([(-5, x, y)]) == -5 * x * y
+
+    def test_mixed_denominators_reduce_to_lowest_terms(self):
+        a, b = parse("1/6*x + 1/4", self.XY), parse("2*y", self.XY)
+        c, d = parse("1/10*y", self.XY), parse("5/3*x + 1", self.XY)
+        total = sum_of_products([(3, a, b), (2, c, d)])
+        assert total == 3 * a * b + 2 * c * d
+        # 4/3*x*y + 17/10*y: the products meet over lcm(12, 30) = 60, which reduces to 30
+        assert str(total) == "4/3*x*y + 17/10*y"
+        assert total.denominator == 30
+        assert math.gcd(total.denominator, *total._num.values()) == 1
+
+    def test_full_cancellation_is_zero_over_one(self):
+        x, y = parse("1/3*x + 1/7", self.XY), parse("y - 1/5", self.XY)
+        total = sum_of_products([(2, x, y), (-1, x, y), (-1, y, x)])
+        assert total.is_zero() and total.denominator == 1
+        assert total.variables == self.XY
+
+    def test_no_triples_is_zero(self):
+        assert sum_of_products([]) == Poly.zero()
+
+    @pytest.mark.parametrize("other", [("y", "x"), ("x",), ("x", "y", "z")])
+    def test_operands_must_share_one_context(self, other):
+        x = parse("x + y", self.XY)
+        with pytest.raises(ValueError, match="not"):
+            sum_of_products([(1, x, x), (1, x, Poly.constant(2, other))])
+        with pytest.raises(ValueError, match="not"):
+            sum_of_products([(1, Poly.constant(2, other), x)])
+
+    def test_exponent_overflow_raises_as_the_product_does(self):
+        p = Poly(self.XY, {(MAX_EXPONENT, 1): 1})
+        q = Poly(self.XY, {(1, 0): 2})
+        with pytest.raises(ValueError, match="MAX_EXPONENT"):
+            p * q
+        with pytest.raises(ValueError, match="MAX_EXPONENT"):
+            sum_of_products([(1, q, q), (3, p, q)])
+
+    @given(st.lists(st.tuples(st.integers(-9, 9), polys, polys), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_products_and_sums(self, triples):
+        expected = Poly.zero(VARS)
+        for c, x, y in triples:
+            expected = expected + c * x * y
+        total = sum_of_products(triples)
+        assert total == expected
+        assert total.denominator == expected.denominator
 
 
 class TestRefusals:
