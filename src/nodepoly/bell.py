@@ -46,8 +46,8 @@ def bell_value(
     """P_n evaluated at the first n entries of ``values``.
 
     ``one`` is the identity of the ring the values live in; its context joins
-    theirs.  The result is a ``Poly`` when ``one`` or a value used is one, else
-    a ``Fraction``.
+    theirs.  The result is a ``Poly`` when ``one`` or one of those n values is a
+    ``Poly``, else a ``Fraction``.
     """
     if len(values) < n:
         raise ValueError(f"need {n} values, got {len(values)}")

@@ -258,7 +258,11 @@ class Poly:
             for kb, cb in right:
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
-        return _product_result(a._variables, out, a._den * b._den)
+        # 2^(32n) // (2^32 - 1) has a 1 in each of the n slots; shifted, it marks their guards
+        guards = (1 << _SLOT_BITS * len(a._variables)) // _SLOT << _SLOT_BITS - 1
+        if reduce(or_, out, 0) & guards:
+            raise ValueError(f"a product exponent exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+        return Poly._new(a._variables, {k: c for k, c in out.items() if c}, a._den * b._den)
 
     def __rmul__(self, other: Any) -> Poly:
         return self.__mul__(other)
@@ -467,15 +471,6 @@ def parse(text: str, variables: Iterable[str] | None = None) -> Poly:
     return Poly(ctx, terms)
 
 
-def _product_result(variables: tuple[str, ...], out: dict[int, int], den: int) -> Poly:
-    """Accumulated product numerators over ``den``: the exponent check, then zeros dropped."""
-    # 2^(32n) // (2^32 - 1) has a 1 in each of the n slots; shifted, it marks their guards
-    guards = (1 << _SLOT_BITS * len(variables)) // _SLOT << _SLOT_BITS - 1
-    if reduce(or_, out, 0) & guards:
-        raise ValueError(f"a product exponent exceeds MAX_EXPONENT = {MAX_EXPONENT}")
-    return Poly._new(variables, {k: c for k, c in out.items() if c}, den)
-
-
 def sum_of_products(terms: Sequence[tuple[int, Poly, Poly]]) -> Poly:
     """The sum of c*x*y over the ``(c, x, y)`` triples, with ``c`` an ``int``.
 
@@ -500,12 +495,15 @@ def sum_of_products(terms: Sequence[tuple[int, Poly, Poly]]) -> Poly:
             for ky, cy in right:
                 k = kx + ky
                 out[k] = get(k, 0) + cx * cy
-    return _product_result(variables, out, den)
+    guards = (1 << _SLOT_BITS * len(variables)) // _SLOT << _SLOT_BITS - 1  # as in a product
+    if reduce(or_, out, 0) & guards:
+        raise ValueError(f"a product exponent exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+    return Poly._new(variables, {k: c for k, c in out.items() if c}, den)
 
 
 def in_one_context(images: Mapping[Any, Poly | Scalar]) -> tuple[dict[Any, Poly], Poly]:
     """Each image, a polynomial or a scalar, over the union of the images' contexts, and the
-    1 of that context: the one context step of ``Poly.substitute``."""
+    1 of that context: the one context step of ``Poly.substitute`` and ``bell_value``."""
     polys = {v: img if isinstance(img, Poly) else Poly.constant(img) for v, img in images.items()}
     union = tuple(dict.fromkeys(w for img in polys.values() for w in img._variables))
     return {v: img.in_context(union) for v, img in polys.items()}, Poly.constant(1, union)
