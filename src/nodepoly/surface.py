@@ -55,7 +55,11 @@ def _as_poly(value: Poly | Scalar) -> Poly:
 
 
 class ChernNumbers(NamedTuple):
-    """The four surface invariants, as polynomials in the formal parameter m."""
+    """The four surface invariants, as polynomials in the formal parameter m.
+
+    Build them with ``of``, which puts each number in the context ``("m",)``:
+    ``surface_aq`` multiplies them in that context.
+    """
 
     d: Poly
     k: Poly
