@@ -218,6 +218,15 @@ class TestBryanLeungOracle:
         with pytest.raises(ExactnessError, match=message):
             bryan_leung_count(3, 1)
 
+    def test_integral_total_not_divisible_by_n_is_refused(self, monkeypatch):
+        # F = 1 + q^2/2, g = 2: 2*p_2 = (2*2 - 2)*(1/2) = 1, so p_2 = 1/2
+        monkeypatch.setattr(
+            abelian, "_node_series", lambda order: [1, 0, Fraction(1, 2)] + [0] * (order - 2)
+        )
+        message = r"the q\^2 coefficient of F\^1 is not an integer: 1/2"
+        with pytest.raises(ExactnessError, match=message):
+            bryan_leung_count(2, 2)
+
     @pytest.mark.parametrize("r", range(9))
     def test_oracle_equals_intersection_route(self, r):
         poly = abelian_count(r)

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import nodepoly
 from nodepoly.abelian import _FIBER, _FIBER_INTEGRALS
 from nodepoly.exactpoly import (
-    MAX_EXPONENT, ExactnessError, Poly, in_one_context, integer, integrate, parse, sum_of_products,
+    MAX_EXPONENT, ExactnessError, Poly, evaluate_in, in_one_context, integer, integrate, parse,
+    sum_of_products,
 )
 from nodepoly.nodegen import node_polynomial
 
@@ -336,6 +337,71 @@ class TestEvaluate:
         point = {"v": a, "w1": b, "w2": c}
         q = p * p + 3 * p
         assert q.evaluate(point) == p.evaluate(point) ** 2 + 3 * p.evaluate(point)
+
+    SPARSE = "x^37*y^5 - 3/4*x + 2"
+
+    @pytest.mark.parametrize(
+        "point", [(2, 3), (-2, -1), (0, 5), (Fraction(-3, 2), Fraction(5, 7))]
+    )
+    def test_sparse_high_exponents_match_the_reference(self, point):
+        p = parse(self.SPARSE, ("x", "y"))
+        value = p.evaluate(dict(zip(("x", "y"), point)))
+        assert value == _ref_evaluate(p.terms, point)
+        assert type(value) is Fraction
+
+    @pytest.mark.parametrize("p", [Poly.zero(VARS), Poly.zero(), C(7, VARS), C(Fraction(-2, 3))])
+    def test_zero_and_constants_give_fractions(self, p):
+        value = p.evaluate({"v": 5})
+        assert type(value) is Fraction and value == p.constant_value()
+
+    def test_unassigned_variable_that_occurs_is_named(self):
+        with pytest.raises(KeyError, match="variable 'w1' unassigned"):
+            parse("v + w1", VARS).evaluate({"v": 1, "w2": 4})
+
+    def test_unassigned_variable_that_does_not_occur_is_no_error(self):
+        assert parse("2*v^3 + 1/2", VARS).evaluate({"v": 3}) == Fraction(109, 2)
+
+    def test_float_in_the_point_is_refused(self):
+        with pytest.raises(TypeError, match="not an exact scalar: 1.5"):
+            parse("v + 1", VARS).evaluate({"v": 1.5})
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_evaluate_in_polys_is_substitute_at_the_surface_images(self, q):
+        bq = node_polynomial(q)
+        images = {"v": parse("c + h"), "w1": parse("K"), "w2": parse("X")}
+        values, one = in_one_context(images)
+        expected = Poly.zero()
+        for exps, c in bq.terms.items():
+            term = C(c)
+            for name, e in zip(bq.variables, exps):
+                term = term * images[name] ** e
+            expected = expected + term
+        assert evaluate_in(bq, values, one) == bq.substitute(images) == expected
+
+    def test_powers_are_built_from_halves(self):
+        products = []
+
+        class Counted:
+            """An integer that counts its products with its own kind."""
+
+            def __init__(self, value):
+                self.value = value
+
+            def __mul__(self, other):
+                if isinstance(other, Counted):
+                    products.append((self.value, other.value))
+                    return Counted(self.value * other.value)
+                return Counted(self.value * other)
+
+            __rmul__ = __mul__
+
+            def __add__(self, other):
+                return Counted(self.value + other.value)
+
+        value = evaluate_in(parse("x^1000 + x^999"), {"x": Counted(3)}, Counted(1))
+        assert value.value == 3**1000 + 3**999
+        # two exponents per halving level at most: O(log e), not a dense table of 999
+        assert len(products) <= 2 * (1000).bit_length()
 
 
 class TestSerialization:
