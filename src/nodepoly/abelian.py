@@ -165,7 +165,8 @@ def _node_series(order: int) -> tuple[int, ...]:
 def bryan_leung_count(g: int, r: int) -> int:
     """N_{g,r} from the generating function: g times the q^r coefficient of
     p = F^(g-1), F = sum k*sigma_1(k)*q^(k-1), by the power recurrence
-    n*p_n = sum_{k=1..n} (g*k - n)*F_k*p_{n-k}, F_0 = 1.  Exact integers."""
+    n*p_n = sum_{k=1..n} (g*k - n)*F_k*p_{n-k}, F_0 = 1.  Exact integers: each
+    step divides by n with ``divmod``, and a nonzero remainder raises ExactnessError."""
     if g < 1:
         raise ValueError(f"g must be at least 1: {g}")
     if r < 0:
@@ -174,7 +175,10 @@ def bryan_leung_count(g: int, r: int) -> int:
     power = [1]
     for n in range(1, r + 1):
         total = sum((g * k - n) * series[k] * power[n - k] for k in range(1, n + 1))
-        power.append(integer(Fraction(total, n), f"the q^{n} coefficient of F^{g - 1}"))
+        p, rest = divmod(total, n)
+        if rest:
+            integer(Fraction(total, n), f"the q^{n} coefficient of F^{g - 1}")
+        power.append(p)
     return g * power[r]
 
 

@@ -385,9 +385,13 @@ class Poly:
         return all(d == degree for d in self._degrees(weights))
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
-        """Exact value at a point; every occurring variable must be assigned."""
+        """Exact value at a point; every occurring variable must be assigned.
+
+        The numerators are summed over the integers, or the rationals for a ``Fraction``
+        point, and divided by the denominator once, as one ``Fraction``.
+        """
         values = {v: _exact(point[v]) for v in self._variables if v in point}
-        return Fraction(evaluate_in(self, values, 1))
+        return Fraction(_numerator_sum(self, values, 1), self._den)
 
     # -- canonical text form -------------------------------------------------
 
@@ -515,38 +519,48 @@ def evaluate_in(poly: Poly, values: Mapping[str, Any], one: Any) -> Any:
     ``values`` must supply an element for every variable that occurs; the
     elements need + and * (with each other and with Fraction on the left).
     ``one`` is the ring identity; it seeds constant terms, and the zero
-    polynomial evaluates to ``0 * one``.  Multiplies by 1/denominator once.
+    polynomial evaluates to ``0 * one``.  Each occurring variable gets a power table,
+    exponent to power, where a missing power is the product of two halves from the
+    table; the numerator terms are summed, and the sum is multiplied by 1/denominator once.
     """
-    powers: dict[tuple[str, int], Any] = {}
+    total = _numerator_sum(poly, values, one)
+    return total if poly._den == 1 else Fraction(1, poly._den) * total
 
-    def power(v: str, e: int) -> Any:
-        # each power is the product of two memoized halves, so the powers of
-        # one value share their squarings
-        key = (v, e)
-        if key not in powers:
-            powers[key] = values[v] if e == 1 else power(v, e // 2) * power(v, e - e // 2)
-        return powers[key]
 
-    slots = tuple(zip(poly._variables, _shifts(len(poly._variables))))
+def _numerator_sum(poly: Poly, values: Mapping[str, Any], one: Any) -> Any:
+    """``poly`` times its denominator, evaluated: the loop of ``evaluate_in`` and ``evaluate``.
+
+    The power tables are seeded with the values, and the powers of one value share
+    their halves, so x^e costs O(log e) products.
+    """
+    used = reduce(or_, poly._num, 0)
+    tables = []
+    for v, s in zip(poly._variables, _shifts(len(poly._variables))):
+        if used >> s & _SLOT:
+            if v not in values:
+                raise KeyError(f"variable {v!r} unassigned")
+            tables.append((s, {1: values[v]}))
     total: Any = None
     for key, coeff in poly._num.items():
         term: Any = None
-        for v, s in slots:
-            e = key >> s & _SLOT
-            if e == 0:
-                continue
-            if v not in values:
-                raise KeyError(f"variable {v!r} unassigned")
-            factor = power(v, e)
-            term = factor if term is None else term * factor
+        for s, table in tables:
+            if e := key >> s & _SLOT:
+                factor = table[e] if e in table else _power(table, e)
+                term = factor if term is None else term * factor
         if term is None:
             term = coeff * one
         elif coeff != 1:
             term = coeff * term
         total = term if total is None else total + term
-    if total is None:
-        return 0 * one
-    return total if poly._den == 1 else Fraction(1, poly._den) * total
+    return 0 * one if total is None else total
+
+
+def _power(table: dict[int, Any], e: int) -> Any:
+    """The e-th power in a power table, e >= 1: the product of two halves taken from the
+    table, each built the same way when missing, and stored for the other terms."""
+    if e not in table:
+        table[e] = _power(table, e // 2) * _power(table, e - e // 2)
+    return table[e]
 
 
 def integrate(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .bell import nodal_class
 from .exactpoly import ExactnessError, Poly, Scalar, integer, integrate, parse, sum_of_products
@@ -54,23 +54,34 @@ def _as_poly(value: Poly | Scalar) -> Poly:
     return Poly.constant(value, _CONTEXT)
 
 
-class ChernNumbers(NamedTuple):
+class ChernNumbers(NamedTuple("ChernNumbers", [(name, Poly) for name in "dksx"])):
     """The four surface invariants, as polynomials in the formal parameter m.
 
-    Build them with ``of``, which puts each number in the context ``("m",)``:
-    ``surface_aq`` multiplies them in that context.
+    Each number may be a ``Poly`` or a scalar.  Construction, also by ``of``, ``_make``
+    and ``_replace``, puts it in the context ``("m",)``, where ``surface_aq`` multiplies them.
     """
 
+    __slots__ = ()
     d: Poly
     k: Poly
     s: Poly
     x: Poly
 
+    def __new__(
+        cls, d: Poly | Scalar, k: Poly | Scalar, s: Poly | Scalar, x: Poly | Scalar
+    ) -> ChernNumbers:
+        return super().__new__(cls, _as_poly(d), _as_poly(k), _as_poly(s), _as_poly(x))
+
+    @classmethod
+    def _make(cls, fields: Iterable[Poly | Scalar]) -> ChernNumbers:
+        return cls(*fields)
+
     @classmethod
     def of(
         cls, d: Poly | Scalar, k: Poly | Scalar, s: Poly | Scalar, x: Poly | Scalar
     ) -> ChernNumbers:
-        return cls(d=_as_poly(d), k=_as_poly(k), s=_as_poly(s), x=_as_poly(x))
+        """The same as the constructor."""
+        return cls(d, k, s, x)
 
     @classmethod
     def plane(cls) -> ChernNumbers:

@@ -81,6 +81,16 @@ class TestAq:
         ).coefficient_of("h", 1)
         assert surface_aq(1, PLANE) == oracle
 
+    def test_every_construction_converts_the_numbers(self):
+        expected = surface_aq(1, ChernNumbers.of(1, 2, 3, 4))
+        built = ChernNumbers(1, 2, 3, 4)
+        assert surface_aq(1, built) == expected
+        assert surface_aq(1, ChernNumbers._make((1, 2, 3, 4))) == expected
+        assert surface_aq(1, ChernNumbers.of(9, 2, 3, 4)._replace(d=1)) == expected
+        assert all(number.variables == ("m",) for number in built)
+        m = Poly.variable("m")
+        assert ChernNumbers(d=m * m, k=-3 * m, s=9, x=3) == PLANE
+
     def test_linearity_over_chern_numbers(self):
         zero = ChernNumbers.of(0, 0, 0, 0)
         assert surface_aq(1, zero).is_zero()
