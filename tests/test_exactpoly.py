@@ -329,7 +329,7 @@ class TestEvaluate:
         assert p.evaluate({"v": 0}) == -7
 
     def test_unassigned_variable(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="variable 'w1' unassigned"):
             parse("v + w1", ("v", "w1")).evaluate({"v": 1})
 
     @given(polys, st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
@@ -353,10 +353,6 @@ class TestEvaluate:
     def test_zero_and_constants_give_fractions(self, p):
         value = p.evaluate({"v": 5})
         assert type(value) is Fraction and value == p.constant_value()
-
-    def test_unassigned_variable_that_occurs_is_named(self):
-        with pytest.raises(KeyError, match="variable 'w1' unassigned"):
-            parse("v + w1", VARS).evaluate({"v": 1, "w2": 4})
 
     def test_unassigned_variable_that_does_not_occur_is_no_error(self):
         assert parse("2*v^3 + 1/2", VARS).evaluate({"v": 3}) == Fraction(109, 2)
