@@ -70,7 +70,7 @@ class ChernNumbers(NamedTuple("ChernNumbers", [(name, Poly) for name in "dksx"])
     def __new__(
         cls, d: Poly | Scalar, k: Poly | Scalar, s: Poly | Scalar, x: Poly | Scalar
     ) -> ChernNumbers:
-        return super().__new__(cls, _as_poly(d), _as_poly(k), _as_poly(s), _as_poly(x))
+        return tuple.__new__(cls, (_as_poly(d), _as_poly(k), _as_poly(s), _as_poly(x)))
 
     @classmethod
     def _make(cls, fields: Iterable[Poly | Scalar]) -> ChernNumbers:
