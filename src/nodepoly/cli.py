@@ -7,10 +7,12 @@ range predicates.  Every command emits runs of records (``OutputRecord``:
 command, inputs, results, validity annotation, reference tag), one line per
 result in aligned text, JSON lines, or CSV, deterministic byte for byte.
 
-``MODES`` lists each subcommand's modes with the options each one needs and
-may take, and its handler.  A mode is chosen by its flag (``plane --table``),
-the positional action or predicate (``validity kva``), or by default; two
-mode flags, a missing option or one the mode does not take are refused.
+``COMMANDS`` declares the command line once: each subcommand's options,
+and its modes with the options each one needs and may take and its handler.
+``run`` parses ``argv`` against it, and the usage lines and help come from it.
+A mode is chosen by its flag (``plane --table``), the positional action or
+predicate (``validity kva``), or by default; two mode flags, a missing
+option or one the mode does not take are refused.
 
 Evaluations outside a proven validity range still succeed; the record just
 carries an explicit annotation saying so.  Exit codes: 0 on success, 2 on
@@ -22,12 +24,13 @@ when the reader closes standard output early.
 
 from __future__ import annotations
 
-import argparse
 import io
 import os
+import re
 import sys
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, NoReturn, Sequence
 
 if TYPE_CHECKING:  # each handler imports its own back end: a command loads only what it runs
     from . import enriques
@@ -121,7 +124,7 @@ def _p4_annotation(m: int) -> str:
     return "in range (m >= 4)" if grassmann.threefold_validity(m) else "outside range (m >= 4)"
 
 
-def _cmd_bq(args: argparse.Namespace) -> list[OutputRecord]:
+def _cmd_bq(args: SimpleNamespace) -> list[OutputRecord]:
     from .nodegen import node_polynomial
     qs = [args.q] if args.q is not None else range(1, 9)
     return [
@@ -130,7 +133,7 @@ def _cmd_bq(args: argparse.Namespace) -> list[OutputRecord]:
     ]
 
 
-def _cmd_plane_table(args: argparse.Namespace) -> list[OutputRecord]:
+def _cmd_plane_table(args: SimpleNamespace) -> list[OutputRecord]:
     from . import surface
     plane = surface.ChernNumbers.plane()
     return [
@@ -139,13 +142,13 @@ def _cmd_plane_table(args: argparse.Namespace) -> list[OutputRecord]:
     ]
 
 
-def _cmd_plane_symbolic(args: argparse.Namespace) -> list[OutputRecord]:
+def _cmd_plane_symbolic(args: SimpleNamespace) -> list[OutputRecord]:
     from . import surface
     poly = surface.severi_degree(args.r)
     return [OutputRecord("plane", {"r": args.r}, (str(poly),), None, "severi-polynomial")]
 
 
-def _cmd_plane_count(args: argparse.Namespace) -> list[OutputRecord]:
+def _cmd_plane_count(args: SimpleNamespace) -> list[OutputRecord]:
     from . import surface
     from .exactpoly import integer
     value = integer(surface.plane_count(args.r, args.m), f"the count at r={args.r}, m={args.m}")
@@ -154,31 +157,31 @@ def _cmd_plane_count(args: argparse.Namespace) -> list[OutputRecord]:
     return [OutputRecord("plane", inputs, (value,), f"{valid} (m >= r/2+1)", "severi-count")]
 
 
-def _cmd_p4_symbolic(args: argparse.Namespace) -> list[OutputRecord]:
+def _cmd_p4_symbolic(args: SimpleNamespace) -> list[OutputRecord]:
     from . import grassmann
     poly = grassmann.threefold_6nodal_symbolic()
     return [OutputRecord("p4", {}, (str(poly),), None, "p4-6nodal-polynomial")]
 
 
-def _cmd_p4_lines3(args: argparse.Namespace) -> list[OutputRecord]:
+def _cmd_p4_lines3(args: SimpleNamespace) -> list[OutputRecord]:
     from . import grassmann
     poly = grassmann.threefold_3nodal_lines()
     return [OutputRecord("p4", {}, (str(poly),), None, "p4-3nodal-lines")]
 
 
-def _cmd_p4_irreducible(args: argparse.Namespace) -> list[OutputRecord]:
+def _cmd_p4_irreducible(args: SimpleNamespace) -> list[OutputRecord]:
     from . import grassmann
     value = grassmann.quintic_irreducible()
     return [OutputRecord("p4", {"m": 5}, (value,), _p4_annotation(5), "p4-quintic-irreducible")]
 
 
-def _cmd_p4_count(args: argparse.Namespace) -> list[OutputRecord]:
+def _cmd_p4_count(args: SimpleNamespace) -> list[OutputRecord]:
     from . import grassmann
     value = grassmann.threefold_6nodal(args.m)
     return [OutputRecord("p4", {"m": args.m}, (value,), _p4_annotation(args.m), "p4-6nodal-count")]
 
 
-def _cmd_abelian_table(args: argparse.Namespace) -> list[OutputRecord]:
+def _cmd_abelian_table(args: SimpleNamespace) -> list[OutputRecord]:
     from . import abelian
     return [
         OutputRecord("abelian", {"r": r}, (str(abelian.abelian_count(r)),), None, "abelian-table")
@@ -186,19 +189,19 @@ def _cmd_abelian_table(args: argparse.Namespace) -> list[OutputRecord]:
     ]
 
 
-def _cmd_abelian_fixed_class(args: argparse.Namespace) -> list[OutputRecord]:
+def _cmd_abelian_fixed_class(args: SimpleNamespace) -> list[OutputRecord]:
     from . import abelian
     poly = abelian.fixed_class_count(args.r)
     return [OutputRecord("abelian", {"r": args.r}, (str(poly),), None, "abelian-fixed-class")]
 
 
-def _cmd_abelian_oracle(args: argparse.Namespace) -> list[OutputRecord]:
+def _cmd_abelian_oracle(args: SimpleNamespace) -> list[OutputRecord]:
     from . import abelian
     value = abelian.bryan_leung_count(args.g, args.r)
     return [OutputRecord("abelian", {"g": args.g, "r": args.r}, (value,), None, "abelian-oracle")]
 
 
-def _cmd_abelian_count(args: argparse.Namespace) -> list[OutputRecord]:
+def _cmd_abelian_count(args: SimpleNamespace) -> list[OutputRecord]:
     """N_{g,r} as a polynomial in g, or its value when --g is given."""
     from . import abelian
     from .exactpoly import integer
@@ -211,14 +214,14 @@ def _cmd_abelian_count(args: argparse.Namespace) -> list[OutputRecord]:
     return [OutputRecord("abelian", {"r": args.r, "g": args.g}, (value,), None, "abelian-count")]
 
 
-def _cmd_enriques_enumerate(args: argparse.Namespace) -> list[OutputRecord]:
+def _cmd_enriques_enumerate(args: SimpleNamespace) -> list[OutputRecord]:
     from . import enriques
     texts = enriques.enumeration_text(args.max_v, args.max_w)
     inputs = {"max-v": args.max_v, "max-w": args.max_w}
     return [OutputRecord("enriques", inputs, texts, None, "diagram-enumeration")]
 
 
-def _diagram_query(args: argparse.Namespace, query: Callable, ref: str) -> list[OutputRecord]:
+def _diagram_query(args: SimpleNamespace, query: Callable, ref: str) -> list[OutputRecord]:
     """The record of ``query`` on the diagram in ``args.file`` (``-``: standard input)."""
     from . import enriques
     try:
@@ -254,128 +257,88 @@ def _inequalities_text(diagram: enriques.EnriquesDiagram) -> str:
     )
 
 
-def _cmd_enriques_check(args: argparse.Namespace) -> list[OutputRecord]:
+def _cmd_enriques_check(args: SimpleNamespace) -> list[OutputRecord]:
     from . import enriques
     return _diagram_query(args, lambda d: str(enriques.validate(d) or "ok"), "diagram-check")
 
 
-def _cmd_enriques_invariants(args: argparse.Namespace) -> list[OutputRecord]:
+def _cmd_enriques_invariants(args: SimpleNamespace) -> list[OutputRecord]:
     return _diagram_query(args, _invariants_text, "diagram-invariants")
 
 
-def _cmd_enriques_inequalities(args: argparse.Namespace) -> list[OutputRecord]:
+def _cmd_enriques_inequalities(args: SimpleNamespace) -> list[OutputRecord]:
     return _diagram_query(args, _inequalities_text, "diagram-inequalities")
 
 
-def _validity_record(args: argparse.Namespace, ok: bool) -> list[OutputRecord]:
+def _validity_record(args: SimpleNamespace, ok: bool) -> list[OutputRecord]:
     """The record of a validity predicate, with the inputs its mode needs."""
-    needs = MODES["validity"][args.mode][0]
+    needs = COMMANDS["validity"][2][args.mode][0]
     inputs = {"predicate": args.mode, **{_dest(o): getattr(args, _dest(o)) for o in needs}}
     return [OutputRecord("validity", inputs, (str(ok).lower(),), None, f"validity-{args.mode}")]
 
 
-def _cmd_validity_plane(args: argparse.Namespace) -> list[OutputRecord]:
+def _cmd_validity_plane(args: SimpleNamespace) -> list[OutputRecord]:
     from . import surface
     return _validity_record(args, surface.plane_validity(args.r, args.m))
 
 
-def _cmd_validity_abelian(args: argparse.Namespace) -> list[OutputRecord]:
+def _cmd_validity_abelian(args: SimpleNamespace) -> list[OutputRecord]:
     from . import abelian
     return _validity_record(args, abelian.abelian_validity(args.m, args.g, args.r))
 
 
-def _cmd_validity_kva(args: argparse.Namespace) -> list[OutputRecord]:
+def _cmd_validity_kva(args: SimpleNamespace) -> list[OutputRecord]:
     from . import abelian
     return _validity_record(args, abelian.k_very_ample_ok(args.surface, args.m, args.d, args.k))
 
 
-#: subcommand -> mode -> (options the mode needs, options it may take, handler
-#: name).  A mode named like a flag is chosen by that flag, a bare name by the
-#: positional action or predicate, and "" when no mode flag is given.  Any
-#: other option of the subcommand is refused.  Handlers are looked up by name
-#: when a command runs, so a rebound ``_cmd_*`` (for tracing) is the one called.
-MODES: dict[str, dict[str, tuple[tuple[str, ...], tuple[str, ...], str]]] = {
-    "bq": {"": ((), ("--q",), "_cmd_bq")},
-    "plane": {
-        "--table": ((), (), "_cmd_plane_table"),
-        "--symbolic": (("--r",), (), "_cmd_plane_symbolic"),
-        "": (("--r", "--m"), (), "_cmd_plane_count"),
-    },
-    "p4": {
-        "--symbolic": ((), (), "_cmd_p4_symbolic"),
-        "--lines3": ((), (), "_cmd_p4_lines3"),
-        "--irreducible": ((), (), "_cmd_p4_irreducible"),
-        "": (("--m",), (), "_cmd_p4_count"),
-    },
-    "abelian": {
-        "--table": ((), (), "_cmd_abelian_table"),
-        "--fixed-class": (("--r",), (), "_cmd_abelian_fixed_class"),
-        "--oracle": (("--r", "--g"), (), "_cmd_abelian_oracle"),
-        "": (("--r",), ("--g",), "_cmd_abelian_count"),
-    },
-    "enriques": {
-        "check": (("file",), (), "_cmd_enriques_check"),
-        "invariants": (("file",), (), "_cmd_enriques_invariants"),
-        "inequalities": (("file",), (), "_cmd_enriques_inequalities"),
-        "enumerate": (("--max-v", "--max-w"), (), "_cmd_enriques_enumerate"),
-    },
-    "validity": {
-        "plane": (("--r", "--m"), (), "_cmd_validity_plane"),
-        "abelian": (("--m", "--g", "--r"), (), "_cmd_validity_abelian"),
-        "kva": (("--surface", "--m", "--d", "--k"), (), "_cmd_validity_kva"),
-    },
+#: The command line: subcommand -> (help, options, modes).  Each option, and
+#: ``file``, maps to its value (``int``, a ``range`` of ints, a tuple of words or
+#: ``str``) and its help; each mode to the options it needs, those it may take,
+#: its handler's name and its help.  A mode named like a flag is chosen by that
+#: flag, a bare name by the positional action or predicate, and "" when no mode
+#: flag is given.  Every subcommand also takes ``--format``.  Handlers are looked
+#: up by name when a command runs, so a rebound ``_cmd_*`` (for tracing) is run.
+COMMANDS: dict[str, tuple[str, dict[str, tuple], dict[str, tuple]]] = {
+    "bq": ("dump the node polynomials b_1..b_8", {"--q": (range(1, 9), "the index q")}, {
+        "": ((), ("--q",), "_cmd_bq", "b_1..b_8, or b_q alone")}),
+    "plane": ("plane curves of degree m with r nodes", {
+        "--r": (range(9), "the number of nodes"), "--m": (int, "the degree")}, {
+        "--table": ((), (), "_cmd_plane_table", "the eight a_q polynomials"),
+        "--symbolic": (("--r",), (), "_cmd_plane_symbolic", "the node polynomial N_r(m)"),
+        "": (("--r", "--m"), (), "_cmd_plane_count", "the count N_r(m)")}),
+    "p4": ("plane curves on a threefold in four-space", {
+        "--m": (int, "threefold degree for the 6-nodal count")}, {
+        "--symbolic": ((), (), "_cmd_p4_symbolic", "the degree-18 polynomial"),
+        "--lines3": ((), (), "_cmd_p4_lines3", "3-nodal curves meeting three general lines"),
+        "--irreducible": ((), (), "_cmd_p4_irreducible", "irreducible 6-nodal plane quintics"),
+        "": (("--m",), (), "_cmd_p4_count", "6-nodal curves on a threefold of degree m")}),
+    "abelian": ("curves in a homology class on an abelian surface", {
+        "--r": (range(9), "the number of nodes"), "--g": (int, "the genus")}, {
+        "--table": ((), (), "_cmd_abelian_table", "the nine count polynomials"),
+        "--fixed-class": (("--r",), (), "_cmd_abelian_fixed_class", "fixed linear-system variant"),
+        "--oracle": (("--r", "--g"), (), "_cmd_abelian_oracle", "generating-function count"),
+        "": (("--r",), ("--g",), "_cmd_abelian_count", "N_{g,r}, a polynomial in g")}),
+    "enriques": ("check, measure or enumerate diagrams", {
+        "file": (str, "diagram file, or - for standard input"),
+        "--max-v": (range(1, 8), "the most vertices"),
+        "--max-w": (range(1, 7), "the largest weight")}, {
+        "check": (("file",), (), "_cmd_enriques_check", "check the diagram"),
+        "invariants": (("file",), (), "_cmd_enriques_invariants", "its invariants"),
+        "inequalities": (("file",), (), "_cmd_enriques_inequalities", "its eight relations"),
+        "enumerate": (("--max-v", "--max-w"), (), "_cmd_enriques_enumerate", "every diagram")}),
+    "validity": ("evaluate the range predicates", {
+        "--r": (int, "the number of nodes"), "--m": (int, "the degree or class multiple"),
+        "--g": (int, "the genus"), "--d": (int, "the class's self-intersection"),
+        "--k": (int, "k, for k-very ampleness"),
+        "--surface": (("abelian", "k3", "enriques"), "the kind of surface")}, {
+        "plane": (("--r", "--m"), (), "_cmd_validity_plane", "is N_r(m) proven"),
+        "abelian": (("--m", "--g", "--r"), (), "_cmd_validity_abelian", "is N_{g,r} proven"),
+        "kva": (("--surface", "--m", "--d", "--k"), (), "_cmd_validity_kva",
+                "is the class k-very ample")}),
 }
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nodecount",
-        description="Exact calculator for counts of nodal curves on surfaces.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("bq", help="dump the node polynomials b_1..b_8")
-    p.add_argument("--q", type=int, choices=range(1, 9))
-
-    p = sub.add_parser("plane", help="plane curves of degree m with r nodes")
-    p.add_argument("--r", type=int, choices=range(9))
-    p.add_argument("--m", type=int)
-    p.add_argument("--table", action="store_true", help="the eight a_q polynomials")
-    p.add_argument("--symbolic", action="store_true", help="the node polynomial N_r(m)")
-
-    p = sub.add_parser("p4", help="plane curves on a threefold in four-space")
-    p.add_argument("--m", type=int, help="threefold degree for the 6-nodal count")
-    p.add_argument("--symbolic", action="store_true", help="the degree-18 polynomial")
-    p.add_argument("--lines3", action="store_true",
-                   help="3-nodal curves meeting three general lines (degree-9 polynomial)")
-    p.add_argument("--irreducible", action="store_true",
-                   help="irreducible 6-nodal plane quintics on a quintic threefold")
-
-    p = sub.add_parser("abelian", help="curves in a homology class on an abelian surface")
-    p.add_argument("--r", type=int, choices=range(9))
-    p.add_argument("--g", type=int)
-    p.add_argument("--table", action="store_true", help="the nine count polynomials")
-    p.add_argument("--fixed-class", action="store_true", dest="fixed_class",
-                   help="fixed linear-system variant")
-    p.add_argument("--oracle", action="store_true",
-                   help="generating-function count (independent route)")
-
-    p = sub.add_parser("enriques", help="check, measure or enumerate diagrams")
-    p.add_argument("mode", choices=MODES["enriques"])
-    p.add_argument("file", nargs="?", help="diagram file, or - for standard input")
-    p.add_argument("--max-v", type=int, dest="max_v", choices=range(1, 8))
-    p.add_argument("--max-w", type=int, dest="max_w", choices=range(1, 7))
-
-    p = sub.add_parser("validity", help="evaluate the range predicates")
-    p.add_argument("mode", choices=MODES["validity"])
-    for name in ("--r", "--m", "--g", "--d", "--k"):
-        p.add_argument(name, type=int)
-    p.add_argument("--surface", choices=("abelian", "k3", "enriques"))
-
-    for p in sub.choices.values():
-        p.add_argument("--format", choices=FORMATS, default="text")
-        p.set_defaults(parser=p)
-    return parser
+HELP = ("-h", "--help")
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a negative number: a value, not an option
 
 
 def _dest(option: str) -> str:
@@ -383,44 +346,155 @@ def _dest(option: str) -> str:
     return option.lstrip("-").replace("-", "_")
 
 
-def _check_args(args: argparse.Namespace) -> str:
-    """The handler name of the one mode ``args`` selects; a usage error otherwise."""
-    modes = MODES[args.subcommand]
-    options = dict.fromkeys(
-        [name for name in modes if name.startswith("-")]
-        + [o for needs, may, _ in modes.values() for o in needs + may]
-    )
-    # identity tests: --r 0 is given, an unset flag is False
-    given = [
-        o for o in options
-        if (value := getattr(args, _dest(o))) is not None and value is not False
-    ]
-    flags = [name for name in modes if name in given]
-    if len(flags) > 1:
-        args.parser.error(f"{flags[0]} cannot be combined with {flags[1]}")
-    mode = flags[0] if flags else getattr(args, "mode", "")
-    needs, may, handler = modes[mode]
-    label = mode if mode.startswith("-") else f"{args.subcommand} {mode}".rstrip()
+def _shown(option: str, spec: object) -> str:
+    """An option with its value, or the ``file`` argument, as usage and help show it."""
+    if isinstance(spec, (range, tuple)):
+        words = ",".join(spec) if isinstance(spec, tuple) else f"{spec.start}..{spec[-1]}"
+        return f"{option} {{{words}}}"
+    return f"{option} {_dest(option).upper()}" if option[0] == "-" else option.upper()
+
+
+def _help(sub: str) -> str:
+    """The usage line, then each subcommand, or each mode and option of ``sub``, with its help.
+
+    The usage line shows each mode with the options it needs and may take.
+    """
+    rows = [("-h, --help", "show this help")]
+    if not sub:
+        usage = f"[-h] {{{','.join(COMMANDS)}}} ..."
+        about = "Exact calculator for counts of nodal curves on surfaces."
+        rows += [(name, text) for name, (text, *_) in COMMANDS.items()]
+    else:
+        about, options, modes = COMMANDS[sub]
+        shown = {o: _shown(o, spec) for o, (spec, _) in options.items()}
+        forms = [" ".join([mode, *map(shown.get, needs), *(f"[{shown[o]}]" for o in may)]).strip()
+                 for mode, (needs, may, *_) in modes.items()]
+        forms = forms[0] if len(forms) == 1 else f"({' | '.join(forms)})"
+        usage = f"{sub} [-h] {forms} [{_shown('--format', FORMATS)}]"
+        rows += [(mode or "(default)", text) for mode, (*_, text) in modes.items()]
+        rows += [(shown[o], text) for o, (_, text) in options.items()]
+        rows.append((_shown("--format", FORMATS), "the output format (default text)"))
+    width = max(len(left) for left, _ in rows)
+    return "\n".join([f"usage: nodecount {usage}", "", about, "",
+                      *(f"  {left:{width}}  {text}" for left, text in rows)])
+
+
+def _refuse(sub: str, message: str, prog: str = "") -> NoReturn:
+    """Print the usage line of ``sub`` and the error, and exit 2."""
+    prog = prog or f"nodecount {sub}".rstrip()
+    print(_help(sub).partition("\n")[0], f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _option(arg: str, names: Sequence[str], sub: str) -> tuple[str, str | None] | None:
+    """The option of ``names`` that ``arg`` gives, and its value after "=" if any.
+
+    None for a positional argument, such as a negative number, and "" for an
+    option not in ``names``.  A unique prefix gives its option (``--sym``), and
+    ``-hX`` gives ``-h`` with the value X.
+    """
+    if arg[:1] != "-" or arg in ("-", "--") or " " in arg or _NUMBER.match(arg):
+        return None
+    name, eq, value = arg.partition("=")
+    if arg in names or eq and name in names:
+        return name, value if eq else None
+    name, value = (name, value if eq else None) if arg[1] == "-" else (arg[:2], arg[2:])
+    matches = [option for option in names if option.startswith(name)]
+    if len(matches) > 1:
+        _refuse(sub, f"ambiguous option: {arg} could match {', '.join(matches)}")
+    return (matches[0], value) if matches else ("", None)
+
+
+def _parse(argv: list[str], sub: str = "", extras: list[str] | None = None
+           ) -> tuple[SimpleNamespace, str]:
+    """The namespace ``argv`` gives and its mode's handler name; exits on help or a refusal.
+
+    Before the subcommand, ``-h`` is the only option.  After it, the first run
+    of positional arguments fills the positionals, and after ``--`` every
+    argument is positional.  Unknown arguments are refused after every other
+    parse error, and before the mode's checks.
+    """
+    _, options, modes = COMMANDS[sub] if sub else ("", {}, {})
+    flags = [mode for mode in modes if mode[:1] == "-"]
+    words = [mode for mode in modes if mode[:1] not in ("", "-")]
+    names = [*HELP, *(o for o in options if o[0] == "-"), *flags, *["--format"] * bool(sub)]
+    slots = ["mode"] * bool(words) + ["file"] * ("file" in options) if sub else ["subcommand"]
+    cut = argv.index("--") if sub and "--" in argv else len(argv)
+    kinds = [_option(arg, names, sub) if i < cut else None for i, arg in enumerate(argv)]
+    args = SimpleNamespace(subcommand=sub, mode="", format="text",
+                           **dict.fromkeys(map(_dest, options)))
+    extras, unfilled, closed, given = extras or [], slots, not slots, set()
+    items = iter(enumerate(argv))
+    for i, arg in items:
+        if kinds[i] is None:  # the first run of positional arguments fills the positionals
+            if i == cut and not closed:  # a "--" in that run is dropped
+                continue
+            if closed or not unfilled:
+                extras.append(arg)
+                continue
+            (name, *unfilled), value = unfilled, arg
+            spec = {"subcommand": COMMANDS, "mode": words}.get(name, str)
+        else:
+            closed = closed or len(unfilled) < len(slots)
+            name, value = kinds[i]
+            if not name:
+                extras.append(arg)
+                continue
+            if name in HELP or name in flags:
+                if value is not None:
+                    label = "-h/--help" if name in HELP else name
+                    _refuse(sub, f"argument {label}: ignored explicit argument {value!r}")
+                if name in HELP:
+                    print(_help(sub))
+                    raise SystemExit(0)
+                given.add(name)
+                continue
+            if value is None:
+                if i + 1 in (cut, len(argv)) or kinds[i + 1]:
+                    _refuse(sub, f"argument {name}: expected one argument")
+                value = next(items)[1]
+            spec = options[name][0] if name in options else FORMATS
+        try:
+            value = int(value) if spec is int or isinstance(spec, range) else value
+        except ValueError:
+            _refuse(sub, f"argument {name}: invalid int value: {value!r}")
+        if not isinstance(spec, type) and value not in spec:
+            choices = ", ".join(map(repr, spec))
+            _refuse(sub, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        if name == "subcommand":
+            return _parse(argv[i + 1:], value, extras)
+        setattr(args, _dest(name), value)
+        given.add(name)
+    if unfilled[:1] in (["subcommand"], ["mode"]):
+        _refuse(sub, f"the following arguments are required: {unfilled[0]}")
+    if extras:
+        _refuse(sub, f"unrecognized arguments: {' '.join(extras)}", "nodecount")
+    # one mode flag at most, then the mode's options, checked in the table's order
+    given = [o for o in dict.fromkeys([*flags, *(o for needs, may, *_ in modes.values()
+                                                  for o in needs + may)]) if o in given]
+    chosen = [flag for flag in flags if flag in given]
+    if len(chosen) > 1:
+        _refuse(sub, f"{chosen[0]} cannot be combined with {chosen[1]}")
+    args.mode = chosen[0] if chosen else args.mode
+    needs, may, handler, _ = modes[args.mode]
+    label = args.mode if chosen else f"{sub} {args.mode}".rstrip()
     for o in given:
-        if o not in (mode, *needs, *may):
-            args.parser.error(f"{label} cannot be combined with {o}")
+        if o not in (args.mode, *needs, *may):
+            _refuse(sub, f"{label} cannot be combined with {o}")
     for o in needs:
         if o not in given:
-            args.parser.error(f"{label} needs {o}")
-    return handler
+            _refuse(sub, f"{label} needs {o}")
+    return args, handler
 
 
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
-        handler = globals()[_check_args(args)]
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        args, handler = _parse(list(argv))
+    except SystemExit as exc:  # help printed, or a usage error
+        return exc.code
     try:
         # a run's results may be lazy, so errors can surface while emitting
-        emit(handler(args), args.format, sys.stdout)
+        emit(globals()[handler](args), args.format, sys.stdout)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader stopped early (``| head``).  Point stdout at devnull so

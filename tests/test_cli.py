@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import csv
 import hashlib
 import io
@@ -21,7 +20,7 @@ import pytest
 
 import nodepoly
 from nodepoly.cli import (
-    BATCH, EXIT_BROKEN_PIPE, FORMATS, MODES, OutputRecord, build_parser, emit, run,
+    BATCH, COMMANDS, EXIT_BROKEN_PIPE, FORMATS, OutputRecord, emit, run,
 )
 from nodepoly.enriques import _single_root_catalog, named_diagram, to_text
 
@@ -199,25 +198,33 @@ class TestModeTable:
     def test_rows_are_the_modes(self):
         rows = {(cmd.strip("`"), "" if mode == "(default)" else mode.strip("`")):
                 (_flags(needs), _flags(may)) for cmd, mode, needs, may in readme_mode_rows()}
-        assert rows == {(cmd, mode): (needs, may) for cmd, modes in MODES.items()
-                        for mode, (needs, may, _) in modes.items()}
+        assert rows == {(cmd, mode): (needs, may) for cmd, (_, _, modes) in COMMANDS.items()
+                        for mode, (needs, may, *_) in modes.items()}
 
-    def test_ranges_are_the_parser_choices(self):
-        subparsers = next(a for a in build_parser()._actions
-                          if isinstance(a, argparse._SubParsersAction))
+    def test_ranges_are_the_table_choices(self):
         for cmd, _, needs, may in readme_mode_rows():
-            parser = subparsers.choices[cmd.strip("`")]
+            options = COMMANDS[cmd.strip("`")][1]
             listed = {flag: range(int(lo), int(hi) + 1) for flag, lo, hi
                       in re.findall(r"`(--[a-z-]+)` (\d+)\.\.(\d+)", needs + may)}
-            ranged = {flag for flag in _flags(needs) + _flags(may) if flag != "file"
-                      and isinstance(parser._option_string_actions[flag].choices, range)}
+            ranged = {flag for flag in _flags(needs) + _flags(may)
+                      if isinstance(options[flag][0], range)}
             assert set(listed) == ranged, cmd
             for flag, choices in listed.items():
-                assert parser._option_string_actions[flag].choices == choices, (cmd, flag)
+                assert options[flag][0] == choices, (cmd, flag)
         checked = {flag for *_, needs, may in readme_mode_rows()
                    for flag in re.findall(r"`(--[a-z-]+)` \d", needs + may)}
         assert checked == {"--q", "--r", "--max-v", "--max-w"}
 
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_help_lists_every_option(self, capsys, cmd):
+        assert run([cmd, "--help"]) == 0
+        out = capsys.readouterr().out
+        _, options, modes = COMMANDS[cmd]
+        lines = out.splitlines()
+        assert lines[0].startswith(f"usage: nodecount {cmd} [-h] ")
+        named = {line.split()[0] for line in lines[1:] if line.startswith("  ")}
+        shown = {o if o.startswith("--") else o.upper() for o in options}  # file is FILE
+        assert named >= {*shown, *(mode for mode in modes if mode), "--format", "-h,"}
 
 class TestCounts:
     def test_plane_count(self, capsys):

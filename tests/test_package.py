@@ -14,7 +14,7 @@ import pytest
 
 import nodepoly
 from nodepoly import ChernNumbers, ExactnessError, NodePolynomialSet, parse
-from nodepoly.cli import OutputRecord
+from nodepoly.cli import COMMANDS, FORMATS, OutputRecord
 from nodepoly.enriques import (
     EnriquesDiagram, InequalityResult, Vertex, Violation, invariants, named_diagram,
 )
@@ -72,12 +72,31 @@ codes = [nodepoly.cli.run(argv) for argv in {argvs!r}]
 print([codes, sorted(set({watch!r}) & (set(sys.modules) - before))])
 """
 
-    def loaded(self, *argvs: list[str], watch: tuple[str, ...] = HEAVY) -> list[str]:
+    def loaded(self, *argvs: list[str], watch: tuple[str, ...] = HEAVY,
+               codes: list[int] | None = None) -> list[str]:
         proc = fresh_python(self.SCRIPT.format(argvs=list(argvs), watch=watch))
         assert proc.returncode == 0, proc.stderr
-        codes, loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
-        assert codes == [0] * len(argvs)
+        returned, loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+        assert returned == (codes or [0] * len(argvs))
         return loaded
+
+    def test_no_mode_help_or_refusal_loads_an_argument_parser(self, tmp_path):
+        """Every mode of the table in every format, ``-h`` and a refusal: none
+        loads ``argparse`` or the ``gettext`` and ``locale`` it imports."""
+        diagram = tmp_path / "a2.txt"
+        diagram.write_text("0 2 - -\n1 1 0 -\n2 1 1 0\n", encoding="utf-8")
+        values = {"--q": "2", "--r": "2", "--m": "5", "--g": "3", "--d": "8", "--k": "1",
+                  "--surface": "k3", "--max-v": "2", "--max-w": "2"}
+        argvs = []
+        for cmd, (_, _, modes) in COMMANDS.items():
+            for mode, (needs, *_) in modes.items():
+                given = [part for o in needs
+                         for part in ([str(diagram)] if o == "file" else [o, values[o]])]
+                argvs += [[cmd, *filter(None, [mode]), *given, "--format", fmt] for fmt in FORMATS]
+        assert len(argvs) == 3 * sum(len(modes) for *_, modes in COMMANDS.values()) == 57
+        argvs += [["-h"], ["plane", "-h"], ["plane", "--r", "9", "--m", "1"]]
+        watch = ("argparse", "gettext", "locale")
+        assert self.loaded(*argvs, watch=watch, codes=[0] * 59 + [2]) == []
 
     def test_plane_count_loads_none(self):
         assert self.loaded(["plane", "--r", "5", "--m", "4"]) == []
