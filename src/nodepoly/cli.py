@@ -440,6 +440,8 @@ def _parse(argv: list[str], sub: str = "", extras: list[str] | None = None
             if not name:
                 extras.append(arg)
                 continue
+            if name in given:
+                _refuse(sub, f"argument {name}: given more than once")
             if name in HELP or name in flags:
                 if value is not None:
                     label = "-h/--help" if name in HELP else name

@@ -75,6 +75,11 @@ CONFLICTING = [
     (["p4", "--symbolic", "--lines3"], COMBINED),
     (["abelian", "--oracle", "--r", "1"], "--oracle needs --g"),
     (["enriques", "enumerate", "--max-v", "0", "--max-w", "2"], "--max-v: invalid choice: 0"),
+    (["plane", "--r", "3", "--r", "4", "--m", "5"], "argument --r: given more than once"),
+    (["plane", "--r", "3", "--m", "5", "--format", "json", "--format", "text"],
+     "argument --format: given more than once"),
+    (["plane", "--table", "--table"], "argument --table: given more than once"),
+    (["abelian", "--r=2", "--r", "2"], "argument --r: given more than once"),
 ]
 
 
