@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import io
 import os
-import re
 import sys
 from itertools import islice
 from types import SimpleNamespace
@@ -329,16 +328,14 @@ COMMANDS: dict[str, tuple[str, dict[str, tuple], dict[str, tuple]]] = {
         "enumerate": (("--max-v", "--max-w"), (), "_cmd_enriques_enumerate", "every diagram")}),
     "validity": ("evaluate the range predicates", {
         "--r": (int, "the number of nodes"), "--m": (int, "the degree or class multiple"),
-        "--g": (int, "the genus"), "--d": (int, "the class's self-intersection"),
-        "--k": (int, "k, for k-very ampleness"),
-        "--surface": (("abelian", "k3", "enriques"), "the kind of surface")}, {
+        "--g": (int, "the genus"), "--surface": (("abelian", "k3", "enriques"), "the surface"),
+        "--d": (int, "the class's self-intersection"), "--k": (int, "k, for k-very ampleness")}, {
         "plane": (("--r", "--m"), (), "_cmd_validity_plane", "is N_r(m) proven"),
         "abelian": (("--m", "--g", "--r"), (), "_cmd_validity_abelian", "is N_{g,r} proven"),
         "kva": (("--surface", "--m", "--d", "--k"), (), "_cmd_validity_kva",
                 "is the class k-very ample")}),
 }
 HELP = ("-h", "--help")
-_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a negative number: a value, not an option
 
 
 def _dest(option: str) -> str:
@@ -389,11 +386,12 @@ def _refuse(sub: str, message: str, prog: str = "") -> NoReturn:
 def _option(arg: str, names: Sequence[str], sub: str) -> tuple[str, str | None] | None:
     """The option of ``names`` that ``arg`` gives, and its value after "=" if any.
 
-    None for a positional argument, such as a negative number, and "" for an
-    option not in ``names``.  A unique prefix gives its option (``--sym``), and
-    ``-hX`` gives ``-h`` with the value X.
+    None for a positional argument, such as a negative number (``-3``, ``-.5``),
+    and "" for an option not in ``names``.  A unique prefix gives its option
+    (``--sym``), and ``-hX`` gives ``-h`` with the value X.
     """
-    if arg[:1] != "-" or arg in ("-", "--") or " " in arg or _NUMBER.match(arg):
+    number = arg[1:].replace(".", "", 1).isdecimal() and arg[-1] != "."
+    if arg[:1] != "-" or arg in ("-", "--") or " " in arg or number:
         return None
     name, eq, value = arg.partition("=")
     if arg in names or eq and name in names:
@@ -440,8 +438,6 @@ def _parse(argv: list[str], sub: str = "", extras: list[str] | None = None
             if not name:
                 extras.append(arg)
                 continue
-            if name in given:
-                _refuse(sub, f"argument {name}: given more than once")
             if name in HELP or name in flags:
                 if value is not None:
                     label = "-h/--help" if name in HELP else name
@@ -449,13 +445,13 @@ def _parse(argv: list[str], sub: str = "", extras: list[str] | None = None
                 if name in HELP:
                     print(_help(sub))
                     raise SystemExit(0)
-                given.add(name)
-                continue
-            if value is None:
-                if i + 1 in (cut, len(argv)) or kinds[i + 1]:
-                    _refuse(sub, f"argument {name}: expected one argument")
-                value = next(items)[1]
-            spec = options[name][0] if name in options else FORMATS
+                value, spec = True, (True,)
+            else:
+                if value is None:
+                    if i + 1 in (cut, len(argv)) or kinds[i + 1]:
+                        _refuse(sub, f"argument {name}: expected one argument")
+                    value = next(items)[1]
+                spec = options[name][0] if name in options else FORMATS
         try:
             value = int(value) if spec is int or isinstance(spec, range) else value
         except ValueError:
@@ -463,6 +459,8 @@ def _parse(argv: list[str], sub: str = "", extras: list[str] | None = None
         if not isinstance(spec, type) and value not in spec:
             choices = ", ".join(map(repr, spec))
             _refuse(sub, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        if name in given:
+            _refuse(sub, f"argument {name}: given more than once")
         if name == "subcommand":
             return _parse(argv[i + 1:], value, extras)
         setattr(args, _dest(name), value)
@@ -472,8 +470,7 @@ def _parse(argv: list[str], sub: str = "", extras: list[str] | None = None
     if extras:
         _refuse(sub, f"unrecognized arguments: {' '.join(extras)}", "nodecount")
     # one mode flag at most, then the mode's options, checked in the table's order
-    given = [o for o in dict.fromkeys([*flags, *(o for needs, may, *_ in modes.values()
-                                                  for o in needs + may)]) if o in given]
+    given = [o for o in (*flags, *options) if o in given]
     chosen = [flag for flag in flags if flag in given]
     if len(chosen) > 1:
         _refuse(sub, f"{chosen[0]} cannot be combined with {chosen[1]}")
