@@ -11,7 +11,8 @@ and for a nonzero exit also ``<TAB>`` and the last line of stderr verbatim.  The
 argv is ``shlex``-quoted; the format is appended as ``--format FORMAT``, or
 nothing is appended for ``-``.  The commands run in-process through
 ``cli.run`` in a directory that holds the diagram files they name, with the
-cusp on standard input and ``COLUMNS=80``.
+cusp on standard input and ``COLUMNS=80`` (the corpus was first recorded
+under ``argparse``, whose usage lines wrapped at the terminal width).
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ def _in_all_formats() -> list[str]:
 def _once() -> list[str]:
     """Commands run once, with no ``--format`` appended: the forms and the bare refusals."""
     return [
-        "plane --r=3 --m=5", "plane --sym --r 3", "plane --r 3 --m -3", "plane --r 3 --m 5 --form json",
+        "plane --r=3 --m=5", "plane --sym --r 3", "plane --r 3 --m -3",
+        "plane --r 3 --m 5 --form json",
         "plane --r 3 --r 4 --m 5", "plane --r 3 --m 5 --format json --format text",
         "plane --format csv --r 3 --m 5 --format json",
         "-h", "--help", *(f"{command} -h" for command in
@@ -142,7 +144,7 @@ def corpus_directory():
         for name, text in FILES.items():
             Path(tmp, name).write_text(text, encoding="utf-8")
         os.chdir(tmp)
-        os.environ["COLUMNS"] = "80"  # argparse's usage lines wrap at the terminal width
+        os.environ["COLUMNS"] = "80"  # as at the first recording, under argparse
         try:
             yield
         finally:
@@ -156,9 +158,13 @@ def corpus_directory():
 def test_corpus_replays():
     lines = CORPUS.read_text(encoding="utf-8").splitlines()
     assert [tuple(line.split("\t")[:2]) for line in lines] == corpus_commands()
+    changed = []
     with corpus_directory():
-        changed = [(line, got) for line in lines
-                   if (got := corpus_line(*(args := line.split("\t")[:2]), *replay(*args))) != line]
+        for line in lines:
+            argv, fmt = line.split("\t")[:2]
+            got = corpus_line(argv, fmt, *replay(argv, fmt))
+            if got != line:
+                changed.append((line, got))
     assert not changed, "\n".join(f"corpus:  {line}\nnow:     {got}" for line, got in changed)
 
 
