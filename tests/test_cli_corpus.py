@@ -107,6 +107,9 @@ def _once() -> list[str]:
         "plane --r 3 --m 5 --foo", "abelian --f", "plane --table=1",
         "plane --r 3 --m 5 --format xml", "validity", "validity frobnicate --r 1",
         "enriques", "enriques frobnicate",
+        # positionals after an option, and "--"
+        "enriques check --format json cusp.diagram", "enriques invariants --format csv -",
+        "plane --r 3 -- 5", "enriques check -- cusp.diagram",
     ]
 
 
