@@ -12,7 +12,8 @@ and its modes with the options each one needs and may take and its handler.
 ``run`` parses ``argv`` against it, and the usage lines and help come from it.
 A mode is chosen by its flag (``plane --table``), the positional action or
 predicate (``validity kva``), or by default; two mode flags, a missing
-option or one the mode does not take are refused.
+option or one the mode does not take are refused.  A handler states only its
+library call, reference tag and annotation; ``_record`` builds the record.
 
 Evaluations outside a proven validity range still succeed; the record just
 carries an explicit annotation saying so.  Exit codes: 0 on success, 2 on
@@ -29,10 +30,7 @@ import os
 import sys
 from itertools import islice
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, NoReturn, Sequence
-
-if TYPE_CHECKING:  # each handler imports its own back end: a command loads only what it runs
-    from . import enriques
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 FORMATS = ("text", "json", "csv")
 EXIT_BROKEN_PIPE = 141
@@ -118,33 +116,32 @@ def emit(records: Iterable[OutputRecord], fmt: str, out: io.TextIOBase) -> None:
             out.write(encode(parts))
 
 
-def _p4_annotation(m: int) -> str:
-    from . import grassmann
-    return "in range (m >= 4)" if grassmann.threefold_validity(m) else "outside range (m >= 4)"
+def _record(args: SimpleNamespace, ref: str, results: Iterable[int | str],
+            valid: str | None = None, **first: int | str) -> OutputRecord:
+    """The run of ``results``; its inputs are ``first``, then the mode's options given."""
+    needs, may, *_ = COMMANDS[args.subcommand][2][args.mode]
+    for option in (*needs, *may):
+        if (value := getattr(args, _dest(option))) is not None:
+            first[option.lstrip("-")] = value
+    return OutputRecord(args.subcommand, first, results, valid, ref)
 
 
 def _cmd_bq(args: SimpleNamespace) -> list[OutputRecord]:
     from .nodegen import node_polynomial
     qs = [args.q] if args.q is not None else range(1, 9)
-    return [
-        OutputRecord("bq", {"q": q}, (str(node_polynomial(q)),), None, "node-polynomial")
-        for q in qs
-    ]
+    return [_record(args, "node-polynomial", (str(node_polynomial(q)),), q=q) for q in qs]
 
 
 def _cmd_plane_table(args: SimpleNamespace) -> list[OutputRecord]:
     from . import surface
     plane = surface.ChernNumbers.plane()
-    return [
-        OutputRecord("plane", {"q": q}, (str(surface.surface_aq(q, plane)),), None, "plane-aq")
-        for q in range(1, 9)
-    ]
+    return [_record(args, "plane-aq", (str(surface.surface_aq(q, plane)),), q=q)
+            for q in range(1, 9)]
 
 
 def _cmd_plane_symbolic(args: SimpleNamespace) -> list[OutputRecord]:
     from . import surface
-    poly = surface.severi_degree(args.r)
-    return [OutputRecord("plane", {"r": args.r}, (str(poly),), None, "severi-polynomial")]
+    return [_record(args, "severi-polynomial", (str(surface.severi_degree(args.r)),))]
 
 
 def _cmd_plane_count(args: SimpleNamespace) -> list[OutputRecord]:
@@ -152,52 +149,48 @@ def _cmd_plane_count(args: SimpleNamespace) -> list[OutputRecord]:
     from .exactpoly import integer
     value = integer(surface.plane_count(args.r, args.m), f"the count at r={args.r}, m={args.m}")
     valid = "in range" if surface.plane_validity(args.r, args.m) else "outside range"
-    inputs = {"r": args.r, "m": args.m}
-    return [OutputRecord("plane", inputs, (value,), f"{valid} (m >= r/2+1)", "severi-count")]
+    return [_record(args, "severi-count", (value,), f"{valid} (m >= r/2+1)")]
 
 
 def _cmd_p4_symbolic(args: SimpleNamespace) -> list[OutputRecord]:
     from . import grassmann
-    poly = grassmann.threefold_6nodal_symbolic()
-    return [OutputRecord("p4", {}, (str(poly),), None, "p4-6nodal-polynomial")]
+    return [_record(args, "p4-6nodal-polynomial", (str(grassmann.threefold_6nodal_symbolic()),))]
 
 
 def _cmd_p4_lines3(args: SimpleNamespace) -> list[OutputRecord]:
     from . import grassmann
-    poly = grassmann.threefold_3nodal_lines()
-    return [OutputRecord("p4", {}, (str(poly),), None, "p4-3nodal-lines")]
+    return [_record(args, "p4-3nodal-lines", (str(grassmann.threefold_3nodal_lines()),))]
 
 
 def _cmd_p4_irreducible(args: SimpleNamespace) -> list[OutputRecord]:
     from . import grassmann
+    valid = "in range" if grassmann.threefold_validity(5) else "outside range"
     value = grassmann.quintic_irreducible()
-    return [OutputRecord("p4", {"m": 5}, (value,), _p4_annotation(5), "p4-quintic-irreducible")]
+    return [_record(args, "p4-quintic-irreducible", (value,), f"{valid} (m >= 4)", m=5)]
 
 
 def _cmd_p4_count(args: SimpleNamespace) -> list[OutputRecord]:
     from . import grassmann
+    valid = "in range" if grassmann.threefold_validity(args.m) else "outside range"
     value = grassmann.threefold_6nodal(args.m)
-    return [OutputRecord("p4", {"m": args.m}, (value,), _p4_annotation(args.m), "p4-6nodal-count")]
+    return [_record(args, "p4-6nodal-count", (value,), f"{valid} (m >= 4)")]
 
 
 def _cmd_abelian_table(args: SimpleNamespace) -> list[OutputRecord]:
     from . import abelian
-    return [
-        OutputRecord("abelian", {"r": r}, (str(abelian.abelian_count(r)),), None, "abelian-table")
-        for r in range(9)
-    ]
+    return [_record(args, "abelian-table", (str(abelian.abelian_count(r)),), r=r)
+            for r in range(9)]
 
 
 def _cmd_abelian_fixed_class(args: SimpleNamespace) -> list[OutputRecord]:
     from . import abelian
-    poly = abelian.fixed_class_count(args.r)
-    return [OutputRecord("abelian", {"r": args.r}, (str(poly),), None, "abelian-fixed-class")]
+    return [_record(args, "abelian-fixed-class", (str(abelian.fixed_class_count(args.r)),))]
 
 
 def _cmd_abelian_oracle(args: SimpleNamespace) -> list[OutputRecord]:
     from . import abelian
     value = abelian.bryan_leung_count(args.g, args.r)
-    return [OutputRecord("abelian", {"g": args.g, "r": args.r}, (value,), None, "abelian-oracle")]
+    return [_record(args, "abelian-oracle", (value,), g=args.g)]
 
 
 def _cmd_abelian_count(args: SimpleNamespace) -> list[OutputRecord]:
@@ -208,20 +201,19 @@ def _cmd_abelian_count(args: SimpleNamespace) -> list[OutputRecord]:
         raise ValueError(f"g must be at least 1: {args.g}")
     poly = abelian.abelian_count(args.r)
     if args.g is None:
-        return [OutputRecord("abelian", {"r": args.r}, (str(poly),), None, "abelian-count")]
+        return [_record(args, "abelian-count", (str(poly),))]
     value = integer(poly.evaluate({"g": args.g}), f"the count at r={args.r}, g={args.g}")
-    return [OutputRecord("abelian", {"r": args.r, "g": args.g}, (value,), None, "abelian-count")]
+    return [_record(args, "abelian-count", (value,))]
 
 
 def _cmd_enriques_enumerate(args: SimpleNamespace) -> list[OutputRecord]:
     from . import enriques
     texts = enriques.enumeration_text(args.max_v, args.max_w)
-    inputs = {"max-v": args.max_v, "max-w": args.max_w}
-    return [OutputRecord("enriques", inputs, texts, None, "diagram-enumeration")]
+    return [_record(args, "diagram-enumeration", texts)]
 
 
-def _diagram_query(args: SimpleNamespace, query: Callable, ref: str) -> list[OutputRecord]:
-    """The record of ``query`` on the diagram in ``args.file`` (``-``: standard input)."""
+def _cmd_enriques_file(args: SimpleNamespace) -> list[OutputRecord]:
+    """The check, invariants or relations of the diagram in ``args.file`` (``-``: stdin)."""
     from . import enriques
     try:
         if args.file == "-":
@@ -229,66 +221,44 @@ def _diagram_query(args: SimpleNamespace, query: Callable, ref: str) -> list[Out
         else:
             with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()
-        result = query(enriques.from_text(text))
+        diagram = enriques.from_text(text)
+        if args.mode == "check":
+            result = str(enriques.validate(diagram) or "ok")
+        elif args.mode == "invariants":
+            inv = enriques.invariants(diagram)
+            parts = [
+                f"roots={inv.roots}", f"free={inv.free_vertices}", f"dim={inv.dim}",
+                f"deg={inv.deg}", f"cod={inv.cod}", f"delta={inv.delta}",
+                f"branches={inv.branches}", f"milnor={inv.milnor}",
+            ]
+            if inv.jacobian_mult is not None:
+                parts.append(f"e={inv.jacobian_mult}")
+            result = " ".join(parts)
+        else:
+            result = " ".join(
+                f"{r.part}={'eq' if r.equality else ('holds' if r.holds else 'FAIL')}"
+                for r in enriques.inequality_report(diagram))
     except (OSError, ValueError) as exc:  # unreadable, unparsable or not a valid diagram
         raise ValueError(f"diagram {args.file}: {exc}") from exc
-    return [OutputRecord("enriques", {"file": args.file}, (result,), None, ref)]
-
-
-def _invariants_text(diagram: enriques.EnriquesDiagram) -> str:
-    from . import enriques
-    inv = enriques.invariants(diagram)
-    parts = [
-        f"roots={inv.roots}", f"free={inv.free_vertices}", f"dim={inv.dim}",
-        f"deg={inv.deg}", f"cod={inv.cod}", f"delta={inv.delta}",
-        f"branches={inv.branches}", f"milnor={inv.milnor}",
-    ]
-    if inv.jacobian_mult is not None:
-        parts.append(f"e={inv.jacobian_mult}")
-    return " ".join(parts)
-
-
-def _inequalities_text(diagram: enriques.EnriquesDiagram) -> str:
-    from . import enriques
-    return " ".join(
-        f"{r.part}={'eq' if r.equality else ('holds' if r.holds else 'FAIL')}"
-        for r in enriques.inequality_report(diagram)
-    )
-
-
-def _cmd_enriques_check(args: SimpleNamespace) -> list[OutputRecord]:
-    from . import enriques
-    return _diagram_query(args, lambda d: str(enriques.validate(d) or "ok"), "diagram-check")
-
-
-def _cmd_enriques_invariants(args: SimpleNamespace) -> list[OutputRecord]:
-    return _diagram_query(args, _invariants_text, "diagram-invariants")
-
-
-def _cmd_enriques_inequalities(args: SimpleNamespace) -> list[OutputRecord]:
-    return _diagram_query(args, _inequalities_text, "diagram-inequalities")
-
-
-def _validity_record(args: SimpleNamespace, ok: bool) -> list[OutputRecord]:
-    """The record of a validity predicate, with the inputs its mode needs."""
-    needs = COMMANDS["validity"][2][args.mode][0]
-    inputs = {"predicate": args.mode, **{_dest(o): getattr(args, _dest(o)) for o in needs}}
-    return [OutputRecord("validity", inputs, (str(ok).lower(),), None, f"validity-{args.mode}")]
+    return [_record(args, f"diagram-{args.mode}", (result,))]
 
 
 def _cmd_validity_plane(args: SimpleNamespace) -> list[OutputRecord]:
     from . import surface
-    return _validity_record(args, surface.plane_validity(args.r, args.m))
+    ok = surface.plane_validity(args.r, args.m)
+    return [_record(args, "validity-plane", (str(ok).lower(),), predicate=args.mode)]
 
 
 def _cmd_validity_abelian(args: SimpleNamespace) -> list[OutputRecord]:
     from . import abelian
-    return _validity_record(args, abelian.abelian_validity(args.m, args.g, args.r))
+    ok = abelian.abelian_validity(args.m, args.g, args.r)
+    return [_record(args, "validity-abelian", (str(ok).lower(),), predicate=args.mode)]
 
 
 def _cmd_validity_kva(args: SimpleNamespace) -> list[OutputRecord]:
     from . import abelian
-    return _validity_record(args, abelian.k_very_ample_ok(args.surface, args.m, args.d, args.k))
+    ok = abelian.k_very_ample_ok(args.surface, args.m, args.d, args.k)
+    return [_record(args, "validity-kva", (str(ok).lower(),), predicate=args.mode)]
 
 
 #: The command line: subcommand -> (help, options, modes).  Each option, and
@@ -296,8 +266,10 @@ def _cmd_validity_kva(args: SimpleNamespace) -> list[OutputRecord]:
 #: ``str``) and its help; each mode to the options it needs, those it may take,
 #: its handler's name and its help.  A mode named like a flag is chosen by that
 #: flag, a bare name by the positional action or predicate, and "" when no mode
-#: flag is given.  Every subcommand also takes ``--format``.  Handlers are looked
-#: up by name when a command runs, so a rebound ``_cmd_*`` (for tracing) is run.
+#: flag is given.  Every subcommand also takes ``--format``.  A record's inputs
+#: are the mode's options given, in the table's order.  Handlers are looked up
+#: by name when a command runs, so a rebound ``_cmd_*`` (for tracing) is run;
+#: each imports its own back end, so a command loads only what it runs.
 COMMANDS: dict[str, tuple[str, dict[str, tuple], dict[str, tuple]]] = {
     "bq": ("dump the node polynomials b_1..b_8", {"--q": (range(1, 9), "the index q")}, {
         "": ((), ("--q",), "_cmd_bq", "b_1..b_8, or b_q alone")}),
@@ -322,9 +294,9 @@ COMMANDS: dict[str, tuple[str, dict[str, tuple], dict[str, tuple]]] = {
         "file": (str, "diagram file, or - for standard input"),
         "--max-v": (range(1, 8), "the most vertices"),
         "--max-w": (range(1, 7), "the largest weight")}, {
-        "check": (("file",), (), "_cmd_enriques_check", "check the diagram"),
-        "invariants": (("file",), (), "_cmd_enriques_invariants", "its invariants"),
-        "inequalities": (("file",), (), "_cmd_enriques_inequalities", "its eight relations"),
+        "check": (("file",), (), "_cmd_enriques_file", "check the diagram"),
+        "invariants": (("file",), (), "_cmd_enriques_file", "its invariants"),
+        "inequalities": (("file",), (), "_cmd_enriques_file", "its eight relations"),
         "enumerate": (("--max-v", "--max-w"), (), "_cmd_enriques_enumerate", "every diagram")}),
     "validity": ("evaluate the range predicates", {
         "--r": (int, "the number of nodes"), "--m": (int, "the degree or class multiple"),
@@ -407,10 +379,10 @@ def _parse(argv: list[str], sub: str = "", extras: list[str] | None = None
            ) -> tuple[SimpleNamespace, str]:
     """The namespace ``argv`` gives and its mode's handler name; exits on help or a refusal.
 
-    Before the subcommand, ``-h`` is the only option.  After it, the first run
-    of positional arguments fills the positionals, and after ``--`` every
-    argument is positional.  Unknown arguments are refused after every other
-    parse error, and before the mode's checks.
+    Before the subcommand, ``-h`` is the only option.  After it, positionals
+    fill their slots wherever they appear, and the first ``--`` is dropped and
+    makes every later argument positional.  Unknown arguments are refused
+    after every other parse error, and before the mode's checks.
     """
     _, options, modes = COMMANDS[sub] if sub else ("", {}, {})
     flags = [mode for mode in modes if mode[:1] == "-"]
@@ -421,19 +393,18 @@ def _parse(argv: list[str], sub: str = "", extras: list[str] | None = None
     kinds = [_option(arg, names, sub) if i < cut else None for i, arg in enumerate(argv)]
     args = SimpleNamespace(subcommand=sub, mode="", format="text",
                            **dict.fromkeys(map(_dest, options)))
-    extras, unfilled, closed, given = extras or [], slots, not slots, set()
+    extras, unfilled, given = extras or [], slots, set()
     items = iter(enumerate(argv))
     for i, arg in items:
-        if kinds[i] is None:  # the first run of positional arguments fills the positionals
-            if i == cut and not closed:  # a "--" in that run is dropped
+        if kinds[i] is None:
+            if i == cut:  # the "--" that ends the options
                 continue
-            if closed or not unfilled:
+            if not unfilled:
                 extras.append(arg)
                 continue
             (name, *unfilled), value = unfilled, arg
             spec = {"subcommand": COMMANDS, "mode": words}.get(name, str)
         else:
-            closed = closed or len(unfilled) < len(slots)
             name, value = kinds[i]
             if not name:
                 extras.append(arg)

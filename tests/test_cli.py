@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import nodepoly
+from nodepoly import cli
 from nodepoly.cli import (
     BATCH, COMMANDS, EXIT_BROKEN_PIPE, FORMATS, OutputRecord, emit, run,
 )
@@ -219,6 +220,13 @@ class TestModeTable:
         checked = {flag for *_, needs, may in readme_mode_rows()
                    for flag in re.findall(r"`(--[a-z-]+)` \d", needs + may)}
         assert checked == {"--q", "--r", "--max-v", "--max-w"}
+
+    def test_handlers_are_the_cmd_functions(self):
+        """Every handler the table names is a ``_cmd_*`` function, and every one is named."""
+        named = {handler for *_, modes in COMMANDS.values() for _, _, handler, _ in modes.values()}
+        defined = {name for name, value in vars(cli).items()
+                   if name.startswith("_cmd_") and callable(value)}
+        assert named == defined
 
     @pytest.mark.parametrize("cmd", COMMANDS)
     def test_help_lists_every_option(self, capsys, cmd):
@@ -454,6 +462,22 @@ class TestEnriques:
         code, out = invoke(capsys, "enriques", "inequalities", str(path), "--format", "json")
         result = json.loads(out)["result"]
         assert "ii=eq" in result and "viii=eq" in result and "iv=holds" in result
+
+    @pytest.mark.parametrize("source", ["file", "-"])
+    @pytest.mark.parametrize("action", ["check", "invariants", "inequalities"])
+    def test_format_before_the_file(self, capsys, monkeypatch, tmp_path, action, source):
+        """``--format`` between the action and the file gives the record it gives after it."""
+        text = to_text(named_diagram("A", 2))
+        path = tmp_path / "a2.diagram"
+        path.write_text(text)
+        name = str(path) if source == "file" else "-"
+        runs = []
+        for argv in (["--format", "json", name], [name, "--format", "json"]):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            runs.append(invoke(capsys, "enriques", action, *argv))
+        assert runs[0] == runs[1]
+        code, out = runs[0]
+        assert code == 0 and json.loads(out)["ref"] == f"diagram-{action}"
 
     def test_enumerate(self, capsys):
         code, out = invoke(
