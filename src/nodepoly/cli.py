@@ -67,8 +67,9 @@ def emit(records: Iterable[OutputRecord], fmt: str, out: io.TextIOBase) -> None:
             head = line({"command": r.command, "inputs": r.inputs, "ref": r.ref})[:-1]
             return head + ', "result": ', ', "valid": ' + line(r.valid) + "}\n"
 
-        def lines(head: str, tail: str, results: list) -> str:
-            return head + (tail + head).join(map(line, results)) + tail
+        def lines(head: str, tail: str, results: list) -> str:  # ints and strings: one encode
+            joined = json.JSONEncoder(separators=(tail + head, ": ")).encode(results)
+            return head + joined[1:-1] + tail
     else:
         def shared(r: OutputRecord) -> tuple[str, str, str, str]:
             inputs = " ".join(f"{k}={v}" for k, v in r.inputs.items())

@@ -13,7 +13,8 @@ substrate for the whole package and never touches floating point.
 
 Two polynomials over different variable contexts are reconciled by extending each to
 the union context with zero exponents, so ``v + q1`` just works; ``in_one_context`` does
-so once for the images of ``substitute``.  Equality is semantic: it compares reconciled terms.
+so once for the images of ``substitute`` and the values ``integrate`` uses, and each of the
+two sums its terms in one coefficient map.  Equality is semantic: it compares reconciled terms.
 
 The canonical text form sorts terms by graded-lexicographic order on exponent
 vectors, highest first, and prints coefficients as ``num/den`` with the
@@ -27,7 +28,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import or_
+from operator import mul, or_
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -305,11 +306,20 @@ class Poly:
         """Apply the ring homomorphism sending each variable to its image.
 
         Variables absent from ``mapping`` map to themselves.  The identity
-        mapping returns an equal polynomial.  ``in_one_context`` moves all images into
-        one context first, so no product of the evaluation reconciles contexts.
+        mapping returns an equal polynomial.  The images move into one context, and each
+        term is one triple of a ``sum_of_products``: its numerator, the product of all its
+        factors but the last, and the last, so the terms meet in one coefficient map.
         """
         images = {v: mapping[v] if v in mapping else Poly.variable(v) for v in self._variables}
-        return evaluate_in(self, *in_one_context(images))
+        values, one = in_one_context(images)
+        tables, triples = _power_tables(self, values), []
+        for key, c in self._num.items():
+            factors = [table[e] if e in table else _power(table, e)
+                       for s, table in tables if (e := key >> s & _SLOT)]
+            *init, last = factors or [one]
+            triples.append((c, reduce(mul, init) if init else one, last))
+        total = sum_of_products(triples)
+        return Poly._new(one._variables, total._num, total._den * self._den)
 
     def divrem(self, divisor: Poly, var: str) -> tuple[Poly, Poly]:
         """Long division in ``var`` over the remaining-variable coefficient ring.
@@ -354,8 +364,7 @@ class Poly:
     def coefficient_of(self, var: str, k: int) -> Poly:
         """The polynomial in the remaining variables multiplying var**k."""
         self._index(var)  # a KeyError for a variable outside the context
-        rest = tuple(v for v in self._variables if v != var)
-        return self.coefficients_in((var,)).get((k,), Poly.zero()).in_context(rest)
+        return integrate(self, {var: 1}, {(k,): 1})
 
     def _degrees(self, weights: Mapping[str, int]) -> list[int]:
         """The weighted degree of each term, in storage order; unweighted variables count 0."""
@@ -507,7 +516,7 @@ def sum_of_products(terms: Sequence[tuple[int, Poly, Poly]]) -> Poly:
 
 def in_one_context(images: Mapping[Any, Poly | Scalar]) -> tuple[dict[Any, Poly], Poly]:
     """Each image, a polynomial or a scalar, over the union of the images' contexts, and the
-    1 of that context: the one context step of ``Poly.substitute`` and ``bell_value``."""
+    1 of that context: the context step of ``Poly.substitute``, ``integrate`` and ``bell_value``."""
     polys = {v: img if isinstance(img, Poly) else Poly.constant(img) for v, img in images.items()}
     union = tuple(dict.fromkeys(w for img in polys.values() for w in img._variables))
     return {v: img.in_context(union) for v, img in polys.items()}, Poly.constant(1, union)
@@ -519,27 +528,16 @@ def evaluate_in(poly: Poly, values: Mapping[str, Any], one: Any) -> Any:
     ``values`` must supply an element for every variable that occurs; the
     elements need + and * (with each other and with Fraction on the left).
     ``one`` is the ring identity; it seeds constant terms, and the zero
-    polynomial evaluates to ``0 * one``.  Each occurring variable gets a power table,
-    exponent to power, where a missing power is the product of two halves from the
-    table; the numerator terms are summed, and the sum is multiplied by 1/denominator once.
+    polynomial evaluates to ``0 * one``.  The numerator terms are summed, and the sum is
+    multiplied by 1/denominator once.
     """
     total = _numerator_sum(poly, values, one)
     return total if poly._den == 1 else Fraction(1, poly._den) * total
 
 
 def _numerator_sum(poly: Poly, values: Mapping[str, Any], one: Any) -> Any:
-    """``poly`` times its denominator, evaluated: the loop of ``evaluate_in`` and ``evaluate``.
-
-    The power tables are seeded with the values, and the powers of one value share
-    their halves, so x^e costs O(log e) products.
-    """
-    used = reduce(or_, poly._num, 0)
-    tables = []
-    for v, s in zip(poly._variables, _shifts(len(poly._variables))):
-        if used >> s & _SLOT:
-            if v not in values:
-                raise KeyError(f"variable {v!r} unassigned")
-            tables.append((s, {1: values[v]}))
+    """``poly`` times its denominator, evaluated: the loop of ``evaluate_in`` and ``evaluate``."""
+    tables = _power_tables(poly, values)
     total: Any = None
     for key, coeff in poly._num.items():
         term: Any = None
@@ -553,6 +551,19 @@ def _numerator_sum(poly: Poly, values: Mapping[str, Any], one: Any) -> Any:
             term = coeff * term
         total = term if total is None else total + term
     return 0 * one if total is None else total
+
+
+def _power_tables(poly: Poly, values: Mapping[str, Any]) -> list[tuple[int, dict[int, Any]]]:
+    """(slot shift, power table seeded with its value) per occurring variable: the walk of
+    ``evaluate_in``, ``evaluate`` and ``substitute``, where x^e costs O(log e) products."""
+    used = reduce(or_, poly._num, 0)
+    tables = []
+    for v, s in zip(poly._variables, _shifts(len(poly._variables))):
+        if used >> s & _SLOT:
+            if v not in values:
+                raise KeyError(f"variable {v!r} unassigned")
+            tables.append((s, {1: values[v]}))
+    return tables
 
 
 def _power(table: dict[int, Any], e: int) -> Any:
@@ -570,11 +581,18 @@ def integrate(
 
     Keys are exponent tuples of the graded variables, in the order of
     ``weights``; a monomial with no key integrates to 0.  The remaining
-    variables are carried through unchanged, in their order in ``poly``.
+    variables are carried through unchanged, in their order in ``poly``, followed
+    by those of the values used.  The terms are grouped by key in one pass, and the
+    groups times their values meet in one ``sum_of_products``.
     """
-    rest = tuple(v for v in poly.variables if v not in weights)
-    total = Poly.zero(rest)
-    for key, part in poly.coefficients_in(tuple(weights)).items():
-        if key in table:
-            total = total + part.in_context(rest) * table[key]
-    return total
+    shift = dict(zip(poly._variables, _shifts(len(poly._variables))))
+    picks = [shift.get(v) for v in weights]
+    rest = tuple(v for v in poly._variables if v not in weights)
+    groups: dict[Exponents, dict[int, int]] = {}
+    for k, c in poly._num.items():
+        if (key := tuple(0 if s is None else k >> s & _SLOT for s in picks)) in table:
+            groups.setdefault(key, {})[k] = c
+    values, one = in_one_context({None: Poly.zero(rest), **{key: table[key] for key in groups}})
+    moves = [(shift[v], s) for v, s in zip(rest, _shifts(len(one._variables)))]  # rest leads
+    return sum_of_products([(1, Poly._new(one._variables, _repacked(num, moves), poly._den),
+                             values[key]) for key, num in groups.items()]) if groups else 0 * one

@@ -17,8 +17,10 @@ x2, x3, x4, defines every b_q (s = q - 1):
 where P_n is the complete Bell polynomial and the x3 term vanishes for
 s < 3.  ``tests/test_surface.py::test_x4_multiplier_derived`` derives the x4
 multiplier from Bryan and Leung's counts of 8-nodal curves on a K3 surface.
-``node_polynomial(q)`` builds b_q on demand from b_1..b_{q-1} and caches
-it, and each Q(i, b_j) is cached by (i, j): b_8 costs eleven transforms.
+Q is the back ends' recipe: substitute its shift images, then integrate in e through
+a table of e^k modulo e^3 + w1*e^2 + w2*e; b_q is one sum of products of its three
+terms.  ``node_polynomial(q)`` builds b_q on demand from b_1..b_{q-1} and caches it,
+and each Q(i, b_j) is cached by (i, j): b_8 costs eleven transforms.
 
 x2, x3 and x4 are fixed input data, embedded verbatim below.  The tests derive x2 and
 x3 as top Chern classes of jet bundles, and x4 up to its v^5*w1^3*w2 coefficient (29).
@@ -31,7 +33,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .bell import bell_value
-from .exactpoly import ExactnessError, Poly, parse
+from .exactpoly import ExactnessError, Poly, integrate, parse, sum_of_products
 
 #: Variable context of every node polynomial.
 CLASS_VARIABLES = ("v", "w1", "w2")
@@ -61,26 +63,33 @@ X4 = parse(
 #: Multiplier of x4 in b_8.
 X4_MULTIPLIER = 3281 * factorial(7)
 
-_E_DIVISOR = parse("e^3 + w1*e^2 + w2*e", ("e", "w1", "w2"))
+
+@lru_cache(maxsize=None)
+def _shift_images(i: int) -> dict[str, Poly]:
+    """v -> v - i*e, w1 -> w1 + e, w2 -> w2 - e^2, built in one context."""
+    v, w1, w2, e = (Poly.variable(name, (*CLASS_VARIABLES, "e")) for name in "v w1 w2 e".split())
+    return {"v": v - i * e, "w1": w1 + e, "w2": w2 - e * e}
+
+
+@lru_cache(maxsize=None)
+def _e_table(top: int) -> dict[tuple[int], Poly]:
+    """Q's table up to e^top, at least e^3: entry (k,) is -A_k, where e^k = A_k*e^2 + B_k*e
+    modulo e^3 + w1*e^2 + w2*e.  A_2 = 1, B_2 = 0, A_{k+1} = B_k - w1*A_k and
+    B_{k+1} = -w2*A_k, so A_3 = -w1 and A_{k+1} = -w1*A_k - w2*A_{k-1}."""
+    w1, w2 = (Poly.variable(name, CLASS_VARIABLES) for name in ("w1", "w2"))
+    if top <= 3:
+        return {(2,): Poly.constant(-1, CLASS_VARIABLES), (3,): w1}
+    table = _e_table(top - 1)
+    return {**table, (top,): -(w1 * table[top - 1,]) - w2 * table[top - 2,]}
 
 
 def q_transform(i: int, poly: Poly) -> Poly:
-    """The transform Q(i, R) feeding the Bell arguments of the generator.
-
-    Substitute v -> v - i*e, w1 -> w1 + e, w2 -> w2 - e^2, take the remainder
-    modulo e^3 + w1*e^2 + w2*e viewed in e, and negate the e^2 coefficient.
-    The result contains no e and is linear in the input.
-    """
-    e = Poly.variable("e")
-    shifted = poly.substitute(
-        {
-            "v": Poly.variable("v") - i * e,
-            "w1": Poly.variable("w1") + e,
-            "w2": Poly.variable("w2") - e * e,
-        }
-    )
-    _, rem = shifted.divrem(_E_DIVISOR, "e")
-    return (-rem.coefficient_of("e", 2)).in_context(CLASS_VARIABLES)
+    """The transform Q(i, R) feeding the Bell arguments of the generator: substitute
+    v -> v - i*e, w1 -> w1 + e, w2 -> w2 - e^2, reduce modulo e^3 + w1*e^2 + w2*e, and
+    negate the e^2 coefficient.  So it is the back ends' recipe, integrating in e through
+    ``_e_table``.  The result contains no e and is linear in the input."""
+    shifted = poly.in_context(CLASS_VARIABLES).substitute(_shift_images(i))
+    return integrate(shifted, {"e": 1}, _e_table(shifted.degree_in("e")))
 
 
 @lru_cache(maxsize=None)
@@ -95,14 +104,11 @@ def node_polynomial(q: int) -> Poly:
     b_1..b_{q-1} only.  All coefficients are integers."""
     if not 1 <= q <= 8:
         raise ValueError(f"q must be in 1..8: {q}")
-    s = q - 1
-    one = Poly.constant(1, CLASS_VARIABLES)
-    bq = bell_value(s, [_q_of_b(2, j) for j in range(1, s + 1)], one) * X2
-    if s >= 3:
-        q3 = [_q_of_b(3, j) for j in range(1, s - 2)]
-        bq = bq - s * (s - 1) * (s - 2) * bell_value(s - 3, q3, one) * X3
-    if q == 8:
-        bq = bq + X4_MULTIPLIER * X4
+    s, one = q - 1, Poly.constant(1, CLASS_VARIABLES)
+    q3 = [_q_of_b(3, j) for j in range(1, s - 2)]  # none for s < 3, where s(s-1)(s-2) = 0
+    bq = sum_of_products([(1, bell_value(s, [_q_of_b(2, j) for j in range(1, q)], one), X2),
+                          (-s * (s - 1) * (s - 2), bell_value(len(q3), q3, one), X3),
+                          (X4_MULTIPLIER * (q == 8), one, X4)])
     if not bq.is_weighted_homogeneous(CLASS_WEIGHTS, q + 2):
         raise ExactnessError(f"b_{q} is not weighted homogeneous of degree {q + 2}; generator bug")
     if bq.denominator != 1:
