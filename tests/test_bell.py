@@ -243,3 +243,27 @@ def test_commands_never_build_the_symbolic_polynomial(argv, capsys, monkeypatch)
     monkeypatch.setattr(bell, "bell_polynomial", refuse)
     assert cli.run(argv.split()) == 0
     assert capsys.readouterr().out == expected
+
+
+#: The seven cold command kinds of the bench's ``cli-cold`` workload.
+COLD_KINDS = ["bq --q 8", "plane --r 8 --m 5", "plane --symbolic --r 8", "p4 --m 5",
+              "p4 --irreducible", "abelian --r 8 --g 5", "abelian --table"]
+
+
+def test_cold_commands_rarely_realign_contexts(capsys, monkeypatch):
+    """Each pushforward moves its operands into one context once, so few arithmetic
+    operations meet operands in different contexts: 45 over the seven kinds, where a
+    product or sum per term of a substitution or integration would make hundreds."""
+    real, realigned = Poly._aligned, []
+
+    def counting(self, other):
+        if isinstance(other, Poly) and other.variables != self.variables:
+            realigned.append((self.variables, other.variables))
+        return real(self, other)
+
+    monkeypatch.setattr(Poly, "_aligned", counting)
+    for argv in COLD_KINDS:
+        clear_caches()
+        assert cli.run(argv.split()) == 0
+    capsys.readouterr()
+    assert 0 < len(realigned) <= 100

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nodepoly
+from nodepoly import abelian, nodegen
 from nodepoly.abelian import _FIBER, _FIBER_INTEGRALS
 from nodepoly.exactpoly import (
     MAX_EXPONENT, ExactnessError, Poly, evaluate_in, in_one_context, integer, integrate, parse,
@@ -182,6 +183,96 @@ class TestScalarImages:
         substituted = bq.substitute(images).truncated(_FIBER, 4)
         assert scalar == as_polys == integrate(substituted, _FIBER, _FIBER_INTEGRALS)
         assert not scalar.is_zero()
+
+
+def by_the_loop(p, images):
+    """``p.substitute(images)`` by the generic evaluation loop, one product and one sum per
+    term: the reference for the one-map route."""
+    return evaluate_in(p, *in_one_context({v: images.get(v, V(v)) for v in p.variables}))
+
+
+def integrate_by_parts(poly, weights, table):
+    """``integrate`` by ``coefficients_in``: one product and one sum per key of the table."""
+    rest = tuple(v for v in poly.variables if v not in weights)
+    total = Poly.zero(rest)
+    for key, part in poly.coefficients_in(tuple(weights)).items():
+        if key in table:
+            total = total + part.in_context(rest) * table[key]
+    return total
+
+
+fractions = st.builds(Fraction, st.integers(min_value=-9, max_value=9), st.integers(1, 5))
+
+
+class TestOneMapRoutes:
+    """``substitute`` and ``integrate`` each sum in one coefficient map; the loops they
+    replaced give the same polynomials, in the same contexts."""
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_substitute_at_the_shift_images(self, q, i):
+        images = nodegen._shift_images(i)
+        assert {p.variables for p in images.values()} == {("v", "w1", "w2", "e")}
+        bq = node_polynomial(q)
+        assert bq.substitute(images) == by_the_loop(bq, images)
+
+    @given(polys, polys, polys)
+    def test_substitute_with_fractional_coefficients(self, p, a, b):
+        images = {"v": a + Fraction(1, 3), "w1": b * Fraction(-5, 2), "w2": a * b}
+        assert p.substitute(images) == by_the_loop(p, images)
+
+    @given(polys, fractions)
+    def test_substitute_with_scalar_images(self, p, x):
+        images = {"v": x, "w1": 2, "w2": parse("c - 1/2*h")}
+        assert p.substitute(images) == by_the_loop(p, images)
+        point = {"v": x, "w1": 2, "w2": Fraction(1, 7)}
+        value = p.substitute(point)
+        assert value.variables == () and value == p.evaluate(point) == by_the_loop(p, point)
+
+    @given(polys)
+    def test_substitute_with_images_in_differing_contexts(self, p):
+        images = {"v": parse("c + h"), "w1": parse("K", ("K", "c")),
+                  "w2": parse("x*y - h^2", ("y", "x", "h"))}
+        result = p.substitute(images)
+        assert result == by_the_loop(p, images)
+        assert result.variables == by_the_loop(p, images).variables == ("c", "h", "K", "y", "x")
+
+    @pytest.mark.parametrize("p", [Poly.zero(VARS), Poly.zero(), Poly.zero(("v",))],
+                             ids=["three", "none", "one"])
+    def test_substitute_on_the_zero_polynomial(self, p):
+        images = {"v": parse("c + h"), "w1": 3, "w2": Fraction(1, 2)}
+        result = p.substitute(images)
+        assert result.is_zero() and result.variables == by_the_loop(p, images).variables
+
+    @pytest.mark.parametrize("r", range(9))
+    def test_integrate_through_scalar_values(self, r):
+        cls, table = abelian.nodal_locus_class(r), {(0, 0): 1}
+        result = integrate(cls, abelian._BASE, table)
+        assert result == integrate_by_parts(cls, abelian._BASE, table)
+        assert result.variables == ("h", "d")
+
+    @pytest.mark.parametrize("r", range(9))
+    def test_integrate_through_fraction_values(self, r):
+        cls = abelian.nodal_locus_class(r)
+        for table in (abelian._POINT_INTEGRALS, {(1, 0): Fraction(-3, 4), (0, 1): Fraction(5, 2)}):
+            result = integrate(cls, abelian._BASE, table)
+            assert result == integrate_by_parts(cls, abelian._BASE, table)
+            assert result.variables == integrate_by_parts(cls, abelian._BASE, table).variables
+
+    def test_integrate_through_a_disjoint_table_context(self):
+        poly = parse("b*x^2 + a*x*y + b*y + 3*a*x^2 + x*y", ("b", "x", "a", "y"))
+        table = {(2, 0): parse("d*k", ("d", "k")), (1, 1): 2, (0, 1): parse("s")}
+        result = integrate(poly, GRADED, table)
+        assert result == parse("b*d*k + 3*a*d*k + 2*a + 2 + b*s")
+        assert result == integrate_by_parts(poly, GRADED, table)
+        # the remaining variables, then those of the values in the order their keys occur
+        assert result.variables == ("b", "a", "d", "k", "s")
+
+    @given(poly_strategy(("b", "x", "a", "y"), max_terms=6), fractions)
+    def test_integrate_matches_the_sum_over_parts(self, poly, c):
+        table = {(2, 0): parse("d*k - b"), (1, 1): c, (0, 1): parse("1/3*a + s"), (0, 0): 5}
+        result = integrate(poly, GRADED, table)
+        assert result == integrate_by_parts(poly, GRADED, table)
 
 
 class TestDivrem:

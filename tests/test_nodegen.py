@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from nodepoly import abelian, grassmann, nodegen, surface
 from nodepoly.bell import bell_value, nodal_class
 from nodepoly.cli import run
-from nodepoly.exactpoly import Poly, integrate, parse
+from nodepoly.exactpoly import Poly, evaluate_in, in_one_context, integrate, parse
 from nodepoly.grassmann import grass_aq, grass_integrate
 from nodepoly.nodegen import (
     CLASS_VARIABLES,
@@ -302,6 +302,55 @@ class TestQTransform:
     def test_lowers_weighted_degree_by_two(self):
         p = q_transform(2, X3)
         assert not p.is_zero() and p.is_weighted_homogeneous(CLASS_WEIGHTS, 4)
+
+
+E_DIVISOR = parse("e^3 + w1*e^2 + w2*e", ("e", "w1", "w2"))
+
+#: Every monomial in v, w1, w2 of weighted degree at most 10.
+LOW_MONOMIALS = [(a, b, c) for a in range(11) for b in range(11) for c in range(6)
+                 if a + b + 2 * c <= 10]
+
+
+def q_by_division(i: int, poly: Poly) -> Poly:
+    """Q(i, R) by its definition: substitute by the generic evaluation loop, divide by
+    e^3 + w1*e^2 + w2*e, and negate the remainder's e^2 coefficient."""
+    e = Poly.variable("e")
+    images = {"v": Poly.variable("v") - i * e, "w1": Poly.variable("w1") + e,
+              "w2": Poly.variable("w2") - e * e}
+    shifted = evaluate_in(poly, *in_one_context(images))  # the loop, not the one-map route
+    _, rem = shifted.divrem(E_DIVISOR, "e")
+    return (-rem.coefficient_of("e", 2)).in_context(CLASS_VARIABLES)
+
+
+class TestQRoute:
+    """``q_transform`` integrates in e through a table; the division route is the definition."""
+
+    def test_table_entries_are_negated_remainder_coefficients(self):
+        table = nodegen._e_table(12)
+        for k in range(2, 13):
+            _, rem = (Poly.variable("e") ** k).divrem(E_DIVISOR, "e")
+            assert table[k,] == -rem.coefficient_of("e", 2)
+            assert table[k,].variables == CLASS_VARIABLES
+        assert (0,) not in table and (1,) not in table
+
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.dictionaries(
+            st.sampled_from(LOW_MONOMIALS),
+            st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)),
+            max_size=5,
+        ),
+    )
+    def test_equals_the_division_route(self, i, terms):
+        poly = Poly(CLASS_VARIABLES, terms)
+        q = q_transform(i, poly)
+        assert q == q_by_division(i, poly)
+        assert q.variables == CLASS_VARIABLES
+
+    @pytest.mark.parametrize("j", range(1, 8))
+    def test_node_polynomials_take_the_same_route(self, j):
+        for i in (2, 3):
+            assert q_transform(i, node_polynomial(j)) == q_by_division(i, node_polynomial(j))
 
 
 class TestGenerator:
