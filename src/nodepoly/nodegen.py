@@ -73,14 +73,14 @@ def _shift_images(i: int) -> dict[str, Poly]:
 
 @lru_cache(maxsize=None)
 def _e_table(top: int) -> dict[tuple[int], Poly]:
-    """Q's table up to e^top, at least e^3: entry (k,) is -A_k, where e^k = A_k*e^2 + B_k*e
-    modulo e^3 + w1*e^2 + w2*e.  A_2 = 1, B_2 = 0, A_{k+1} = B_k - w1*A_k and
-    B_{k+1} = -w2*A_k, so A_3 = -w1 and A_{k+1} = -w1*A_k - w2*A_{k-1}."""
+    """Q's table up to e^top: entry (k,) is -A_k, where e^k = A_k*e^2 + B_k*e modulo
+    e^3 + w1*e^2 + w2*e.  A_2 = 1, B_2 = 0, A_{k+1} = B_k - w1*A_k and B_{k+1} = -w2*A_k,
+    so A_3 = -w1 and A_{k+1} = -w1*A_k - w2*A_{k-1}.  Up to e^12 serves all of b_1..b_7."""
     w1, w2 = (Poly.variable(name, CLASS_VARIABLES) for name in ("w1", "w2"))
-    if top <= 3:
-        return {(2,): Poly.constant(-1, CLASS_VARIABLES), (3,): w1}
-    table = _e_table(top - 1)
-    return {**table, (top,): -(w1 * table[top - 1,]) - w2 * table[top - 2,]}
+    table = {(2,): Poly.constant(-1, CLASS_VARIABLES), (3,): w1}
+    for k in range(4, top + 1):
+        table[k,] = -(w1 * table[k - 1,]) - w2 * table[k - 2,]
+    return table
 
 
 def q_transform(i: int, poly: Poly) -> Poly:
@@ -89,7 +89,7 @@ def q_transform(i: int, poly: Poly) -> Poly:
     negate the e^2 coefficient.  So it is the back ends' recipe, integrating in e through
     ``_e_table``.  The result contains no e and is linear in the input."""
     shifted = poly.in_context(CLASS_VARIABLES).substitute(_shift_images(i))
-    return integrate(shifted, {"e": 1}, _e_table(shifted.degree_in("e")))
+    return integrate(shifted, {"e": 1}, _e_table(max(shifted.degree_in("e"), 12)))
 
 
 @lru_cache(maxsize=None)
