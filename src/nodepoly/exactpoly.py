@@ -14,7 +14,8 @@ substrate for the whole package and never touches floating point.
 Two polynomials over different variable contexts are reconciled by extending each to
 the union context with zero exponents, so ``v + q1`` just works; ``in_one_context`` does
 so once for the images of ``substitute`` and the values ``integrate`` uses, and each of the
-two sums its terms in one coefficient map.  Equality is semantic: it compares reconciled terms.
+two sums its terms in one coefficient map; ``evaluate`` sums exact scalars in one loop over the
+same power tables as ``substitute``.  Equality is semantic: it compares reconciled terms.
 
 The canonical text form sorts terms by graded-lexicographic order on exponent
 vectors, highest first, and prints coefficients as ``num/den`` with the
@@ -345,22 +346,6 @@ class Poly:
             rem = rem - t * d
         return quotient, rem
 
-    def coefficients_in(self, graded: Sequence[str]) -> dict[Exponents, Poly]:
-        """The coefficients, polynomials in the other variables, of the monomials in ``graded``.
-
-        Keyed by exponent tuples in the order of ``graded``; a variable outside
-        the context has exponent 0.  Each coefficient keeps this context, with
-        the graded variables at exponent 0; ``in_context`` drops them.
-        """
-        shift = dict(zip(self._variables, _shifts(len(self._variables))))
-        picks = [shift.get(v) for v in graded]
-        keep = ~reduce(or_, (_SLOT << s for s in picks if s is not None), 0)
-        groups: dict[Exponents, dict[int, int]] = {}
-        for k, c in self._num.items():
-            key = tuple(0 if s is None else k >> s & _SLOT for s in picks)
-            groups.setdefault(key, {})[k & keep] = c
-        return {e: Poly._new(self._variables, num, self._den) for e, num in groups.items()}
-
     def coefficient_of(self, var: str, k: int) -> Poly:
         """The polynomial in the remaining variables multiplying var**k."""
         self._index(var)  # a KeyError for a variable outside the context
@@ -396,11 +381,17 @@ class Poly:
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a point; every occurring variable must be assigned.
 
-        The numerators are summed over the integers, or the rationals for a ``Fraction``
-        point, and divided by the denominator once, as one ``Fraction``.
+        Each numerator times its powers is summed over the integers, or the rationals for a
+        ``Fraction`` point, and the sum is divided by the denominator once, as one ``Fraction``.
         """
         values = {v: _exact(point[v]) for v in self._variables if v in point}
-        return Fraction(_numerator_sum(self, values, 1), self._den)
+        tables, total = _power_tables(self, values), 0
+        for key, term in self._num.items():
+            for s, table in tables:
+                if e := key >> s & _SLOT:
+                    term *= table[e] if e in table else _power(table, e)
+            total += term
+        return Fraction(total, self._den)
 
     # -- canonical text form -------------------------------------------------
 
@@ -522,40 +513,9 @@ def in_one_context(images: Mapping[Any, Poly | Scalar]) -> tuple[dict[Any, Poly]
     return {v: img.in_context(union) for v, img in polys.items()}, Poly.constant(1, union)
 
 
-def evaluate_in(poly: Poly, values: Mapping[str, Any], one: Any) -> Any:
-    """Evaluate a polynomial in an arbitrary commutative ring.
-
-    ``values`` must supply an element for every variable that occurs; the
-    elements need + and * (with each other and with Fraction on the left).
-    ``one`` is the ring identity; it seeds constant terms, and the zero
-    polynomial evaluates to ``0 * one``.  The numerator terms are summed, and the sum is
-    multiplied by 1/denominator once.
-    """
-    total = _numerator_sum(poly, values, one)
-    return total if poly._den == 1 else Fraction(1, poly._den) * total
-
-
-def _numerator_sum(poly: Poly, values: Mapping[str, Any], one: Any) -> Any:
-    """``poly`` times its denominator, evaluated: the loop of ``evaluate_in`` and ``evaluate``."""
-    tables = _power_tables(poly, values)
-    total: Any = None
-    for key, coeff in poly._num.items():
-        term: Any = None
-        for s, table in tables:
-            if e := key >> s & _SLOT:
-                factor = table[e] if e in table else _power(table, e)
-                term = factor if term is None else term * factor
-        if term is None:
-            term = coeff * one
-        elif coeff != 1:
-            term = coeff * term
-        total = term if total is None else total + term
-    return 0 * one if total is None else total
-
-
 def _power_tables(poly: Poly, values: Mapping[str, Any]) -> list[tuple[int, dict[int, Any]]]:
     """(slot shift, power table seeded with its value) per occurring variable: the walk of
-    ``evaluate_in``, ``evaluate`` and ``substitute``, where x^e costs O(log e) products."""
+    ``evaluate`` on scalars and ``substitute`` on polynomials; x^e costs O(log e) products."""
     used = reduce(or_, poly._num, 0)
     tables = []
     for v, s in zip(poly._variables, _shifts(len(poly._variables))):

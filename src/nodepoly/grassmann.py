@@ -77,7 +77,7 @@ def grass_aq(q: int) -> Poly:
     Homogeneous of degree q in q1, q2 (degree 1 and 2), with coefficients
     polynomial in the threefold degree m.
     """
-    return _aq_for(Poly.variable("m") * Poly.variable("f"), q)
+    return _aq_for(parse("m*f"), q)
 
 
 def grass_integrate(cls: Poly) -> Poly:

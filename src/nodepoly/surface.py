@@ -94,16 +94,18 @@ class ChernNumbers(NamedTuple("ChernNumbers", [(name, Poly) for name in "dksx"])
 def _universal_aq(q: int) -> tuple[int, ...]:
     """a_q as a linear form in the symbolic Chern numbers: its d, k, s, x coefficients.
 
-    b_q is evaluated at v = c + h, w1 = K, w2 = X and integrated over the
-    surface; every monomial of surface degree 2 lands in h^q.
+    b_q is evaluated at v = c + h, w1 = K, w2 = X, where it is weighted homogeneous of
+    degree q + 2 in c, K, h (weight 1) and X (weight 2), and integrated over the surface;
+    so every monomial of surface degree 2 lands in h^q, and the form is read at h = 1.
     """
     images = {"v": parse("c + h"), "w1": parse("K"), "w2": parse("X")}
-    total = integrate(node_polynomial(q).substitute(images), _SURFACE, _SURFACE_INTEGRALS)
-    form = total.coefficient_of("h", q)
-    if total != form * Poly.variable("h") ** q:
+    bq = node_polynomial(q).substitute(images)
+    if not bq.is_weighted_homogeneous({"c": 1, "K": 1, "h": 1, "X": 2}, q + 2):
         raise ExactnessError(f"pushforward of b_{q} is not concentrated in h^{q}")
+    total = integrate(bq, _SURFACE, _SURFACE_INTEGRALS)
     return tuple(
-        integer(form.evaluate({n: int(n == name) for n in ChernNumbers._fields}), f"a_{q}[{name}]")
+        integer(total.evaluate({"h": 1, **{n: int(n == name) for n in ChernNumbers._fields}}),
+                f"a_{q}[{name}]")
         for name in ChernNumbers._fields
     )
 

@@ -207,6 +207,18 @@ def jet_bundle_top_class(k: int, alpha, beta, v):
     return prod(v + i * alpha + j * beta for i in range(k + 1) for j in range(k + 1 - i))
 
 
+def term_by_term(poly, values, one):
+    """``poly`` at ``values``, named by its variables, in any ring with identity ``one``:
+    each term of ``poly.terms`` by ``**`` and ``*``, and the terms summed by ``+``."""
+    total = 0 * one
+    for exps, c in poly.terms.items():
+        term = c * one
+        for name, e in zip(poly.variables, exps):
+            term = term * values[name] ** e
+        total = total + term
+    return total
+
+
 def complete_bell(a) -> Fraction:
     """P_n(a_1, ..., a_n), n = len(a), by P_{k+1} = sum_j C(k, j) a_{j+1} P_{k-j}."""
     p = [Fraction(1)]

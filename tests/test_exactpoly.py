@@ -18,10 +18,10 @@ import nodepoly
 from nodepoly import abelian, nodegen
 from nodepoly.abelian import _FIBER, _FIBER_INTEGRALS
 from nodepoly.exactpoly import (
-    MAX_EXPONENT, ExactnessError, Poly, evaluate_in, in_one_context, integer, integrate, parse,
-    sum_of_products,
+    MAX_EXPONENT, ExactnessError, Poly, in_one_context, integer, integrate, parse, sum_of_products,
 )
 from nodepoly.nodegen import node_polynomial
+from oracles import term_by_term
 
 V = Poly.variable
 C = Poly.constant
@@ -126,6 +126,24 @@ class TestSubstitute:
         assert (p * q).substitute(images) == p.substitute(images) * q.substitute(images)
         assert (p + q).substitute(images) == p.substitute(images) + q.substitute(images)
 
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_surface_images_term_by_term(self, q):
+        bq = node_polynomial(q)
+        images = {"v": parse("c + h"), "w1": parse("K"), "w2": parse("X")}
+        assert bq.substitute(images) == term_by_term(bq, images, C(1))
+
+    def test_powers_are_built_from_halves(self, monkeypatch):
+        real, products = Poly.__mul__, []
+
+        def counting(self, other):
+            products.append(other)
+            return real(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        assert parse("x^1000 + x^999").substitute({"x": parse("y")}) == parse("y^1000 + y^999")
+        # two exponents per halving level at most: O(log e), not a dense table of 999
+        assert len(products) <= 2 * (1000).bit_length()
+
 
 DIVISOR = parse("e^3 + w1*e^2 + w2*e", ("e", "w1", "w2"))
 
@@ -186,18 +204,19 @@ class TestScalarImages:
 
 
 def by_the_loop(p, images):
-    """``p.substitute(images)`` by the generic evaluation loop, one product and one sum per
-    term: the reference for the one-map route."""
-    return evaluate_in(p, *in_one_context({v: images.get(v, V(v)) for v in p.variables}))
+    """``p.substitute(images)`` term by term, one product and one sum per term: the
+    reference for the one-map route."""
+    return term_by_term(p, *in_one_context({v: images.get(v, V(v)) for v in p.variables}))
 
 
 def integrate_by_parts(poly, weights, table):
-    """``integrate`` by ``coefficients_in``: one product and one sum per key of the table."""
+    """``integrate`` term by term: one product and one sum per term with a key in the table."""
     rest = tuple(v for v in poly.variables if v not in weights)
     total = Poly.zero(rest)
-    for key, part in poly.coefficients_in(tuple(weights)).items():
-        if key in table:
-            total = total + part.in_context(rest) * table[key]
+    for exps, c in poly.terms.items():
+        named = dict(zip(poly.variables, exps))
+        if (key := tuple(named.get(v, 0) for v in weights)) in table:
+            total = total + Poly(rest, {tuple(named[v] for v in rest): c}) * table[key]
     return total
 
 
@@ -323,11 +342,6 @@ class TestCoefficientOf:
 
     def test_coefficients_keep_the_context(self):
         p = parse("x^2*y + 3*x*y + y^2", ("x", "y"))
-        parts = p.coefficients_in(("x",))
-        assert parts == {(2,): parse("y"), (1,): parse("3*y"), (0,): parse("y^2")}
-        for part in parts.values():
-            assert part.variables == ("x", "y")
-            assert part.degree_in("x") == 0
         assert p.coefficient_of("x", 1).variables == ("y",)
 
     @given(poly_strategy(("e", "w1"), max_exp=3), st.integers(0, 3))
@@ -451,44 +465,6 @@ class TestEvaluate:
     def test_float_in_the_point_is_refused(self):
         with pytest.raises(TypeError, match="not an exact scalar: 1.5"):
             parse("v + 1", VARS).evaluate({"v": 1.5})
-
-    @pytest.mark.parametrize("q", range(1, 9))
-    def test_evaluate_in_polys_is_substitute_at_the_surface_images(self, q):
-        bq = node_polynomial(q)
-        images = {"v": parse("c + h"), "w1": parse("K"), "w2": parse("X")}
-        values, one = in_one_context(images)
-        expected = Poly.zero()
-        for exps, c in bq.terms.items():
-            term = C(c)
-            for name, e in zip(bq.variables, exps):
-                term = term * images[name] ** e
-            expected = expected + term
-        assert evaluate_in(bq, values, one) == bq.substitute(images) == expected
-
-    def test_powers_are_built_from_halves(self):
-        products = []
-
-        class Counted:
-            """An integer that counts its products with its own kind."""
-
-            def __init__(self, value):
-                self.value = value
-
-            def __mul__(self, other):
-                if isinstance(other, Counted):
-                    products.append((self.value, other.value))
-                    return Counted(self.value * other.value)
-                return Counted(self.value * other)
-
-            __rmul__ = __mul__
-
-            def __add__(self, other):
-                return Counted(self.value + other.value)
-
-        value = evaluate_in(parse("x^1000 + x^999"), {"x": Counted(3)}, Counted(1))
-        assert value.value == 3**1000 + 3**999
-        # two exponents per halving level at most: O(log e), not a dense table of 999
-        assert len(products) <= 2 * (1000).bit_length()
 
 
 class TestSerialization:

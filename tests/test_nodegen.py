@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from nodepoly import abelian, grassmann, nodegen, surface
 from nodepoly.bell import bell_value, nodal_class
 from nodepoly.cli import run
-from nodepoly.exactpoly import Poly, evaluate_in, in_one_context, integrate, parse
+from nodepoly.exactpoly import Poly, in_one_context, integrate, parse
 from nodepoly.grassmann import grass_aq, grass_integrate
 from nodepoly.nodegen import (
     CLASS_VARIABLES,
@@ -29,7 +29,7 @@ from nodepoly.nodegen import (
     q_transform,
 )
 from nodepoly.surface import ChernNumbers
-from oracles import jet_bundle_top_class, node_polynomials_by_recursion
+from oracles import jet_bundle_top_class, node_polynomials_by_recursion, term_by_term
 from test_surface import pushforward_monomial
 
 #: ``str(b_q)`` for q = 1..8, one line each, recorded from the generator
@@ -312,12 +312,12 @@ LOW_MONOMIALS = [(a, b, c) for a in range(11) for b in range(11) for c in range(
 
 
 def q_by_division(i: int, poly: Poly) -> Poly:
-    """Q(i, R) by its definition: substitute by the generic evaluation loop, divide by
+    """Q(i, R) by its definition: substitute term by term, divide by
     e^3 + w1*e^2 + w2*e, and negate the remainder's e^2 coefficient."""
     e = Poly.variable("e")
     images = {"v": Poly.variable("v") - i * e, "w1": Poly.variable("w1") + e,
               "w2": Poly.variable("w2") - e * e}
-    shifted = evaluate_in(poly, *in_one_context(images))  # the loop, not the one-map route
+    shifted = term_by_term(poly, *in_one_context(images))  # not the one-map route
     _, rem = shifted.divrem(E_DIVISOR, "e")
     return (-rem.coefficient_of("e", 2)).in_context(CLASS_VARIABLES)
 

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from nodepoly import surface
 from nodepoly.bell import bell_value
-from nodepoly.exactpoly import Poly, integrate, parse
+from nodepoly.exactpoly import ExactnessError, Poly, integrate, parse
 from nodepoly.nodegen import CLASS_VARIABLES, X4, X4_MULTIPLIER
 from nodepoly.surface import (
     _SURFACE,
@@ -71,6 +72,13 @@ class TestAq:
     def test_q_out_of_range(self, q):
         with pytest.raises(ValueError, match=f"q must be in 1..8: {q}"):
             surface_aq(q, PLANE)
+
+    def test_a_form_not_in_h_to_the_q_is_refused(self, monkeypatch):
+        surface._universal_aq.cache_clear()
+        # its pushforward, 6*d*h^2, is in h^2, but the term v has degree 1, not q + 2
+        monkeypatch.setattr(surface, "node_polynomial", lambda q: parse("v^4 + v"))
+        with pytest.raises(ExactnessError, match=r"b_2 is not concentrated in h\^2"):
+            surface._universal_aq(2)
 
     def test_a1_from_monomial_oracle(self):
         # independent route: push the three monomials of b_1 one by one
