@@ -225,7 +225,7 @@ fractions = st.builds(Fraction, st.integers(min_value=-9, max_value=9), st.integ
 
 class TestOneMapRoutes:
     """``substitute`` and ``integrate`` each sum in one coefficient map; the reference loops,
-    a product and a sum per term or key, give the same polynomials in the same contexts."""
+    a product and a sum per term, give the same polynomials in the same contexts."""
 
     @pytest.mark.parametrize("i", [1, 2, 3])
     @pytest.mark.parametrize("q", range(1, 9))
