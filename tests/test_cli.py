@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -463,6 +464,19 @@ class TestEnriques:
         result = json.loads(out)["result"]
         assert "ii=eq" in result and "viii=eq" in result and "iv=holds" in result
 
+    def test_two_roots(self, capsys, tmp_path):
+        """Two roots: the invariants have no ``e=``, and the relations are refused."""
+        path = tmp_path / "2a1.diagram"
+        path.write_text("0 2 - -\n1 2 - -\n")
+        code, out = invoke(capsys, "enriques", "invariants", str(path), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["result"] == (
+            "roots=2 free=2 dim=4 deg=6 cod=2 delta=2 branches=4 milnor=2")
+        assert run(["enriques", "inequalities", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"nodecount: error: diagram {path}: need a single root, found 2\n"
+
     @pytest.mark.parametrize("source", ["file", "-"])
     @pytest.mark.parametrize("action", ["check", "invariants", "inequalities"])
     def test_format_before_the_file(self, capsys, monkeypatch, tmp_path, action, source):
@@ -560,6 +574,15 @@ class TestEnriques:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == "nodecount: error: the count at r=2, m=3 is not an integer: 3/2\n"
+
+    def test_failed_write_exits_1(self, capsys, monkeypatch):
+        class FullStream(io.StringIO):
+            def write(self, text: str) -> int:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr("sys.stdout", FullStream())
+        assert run(["bq", "--q", "1"]) == 1
+        assert capsys.readouterr().err == "nodecount: error: [Errno 28] No space left on device\n"
 
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     def test_closed_pipe_exits_quietly(self, unbuffered):

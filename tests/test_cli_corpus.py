@@ -36,6 +36,7 @@ FILES = {
     "cusp.diagram": CUSP,
     "bad.diagram": "0 2 - -\n2 1 0 -\n",  # a parent listed after its child
     "free-leaf.diagram": "0 1 - -\n",  # parses, breaks minimality
+    "2a1.diagram": "0 2 - -\n1 2 - -\n",  # two roots: no e=, no relations
 }
 
 FORMATS = ("text", "json", "csv")
@@ -65,6 +66,7 @@ def _in_all_formats() -> list[str]:
         "enriques invariants -", "enriques enumerate --max-v 3 --max-w 3",
         "validity plane --r 3 --m 1", "validity abelian --m 1 --g 12 --r 1",
         "validity kva --surface enriques --m 2 --d 8 --k 1",
+        *(f"enriques {action} 2a1.diagram" for action in ("check", "invariants", "inequalities")),
     ]
     refused = [
         # tests/test_cli.py CONFLICTING
