@@ -226,15 +226,9 @@ def _cmd_enriques_file(args: SimpleNamespace) -> list[OutputRecord]:
         if args.mode == "check":
             result = str(enriques.validate(diagram) or "ok")
         elif args.mode == "invariants":
-            inv = enriques.invariants(diagram)
-            parts = [
-                f"roots={inv.roots}", f"free={inv.free_vertices}", f"dim={inv.dim}",
-                f"deg={inv.deg}", f"cod={inv.cod}", f"delta={inv.delta}",
-                f"branches={inv.branches}", f"milnor={inv.milnor}",
-            ]
-            if inv.jacobian_mult is not None:
-                parts.append(f"e={inv.jacobian_mult}")
-            result = " ".join(parts)
+            short = {"free_vertices": "free", "jacobian_mult": "e"}
+            fields = enriques.invariants(diagram)._asdict().items()  # no e past one root
+            result = " ".join(f"{short.get(k, k)}={v}" for k, v in fields if v is not None)
         else:
             result = " ".join(
                 f"{r.part}={'eq' if r.equality else ('holds' if r.holds else 'FAIL')}"

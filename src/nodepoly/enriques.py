@@ -99,17 +99,6 @@ class EnriquesDiagram(_Record, namedtuple("EnriquesDiagram", "vertices")):
     def children(self, i: int) -> list[int]:
         return [j for j, v in enumerate(self.vertices) if v.parent == i]
 
-    def proximate_to(self, i: int) -> list[int]:
-        """Vertices proximate to i: its children plus its remote satellites."""
-        return [
-            j
-            for j, v in enumerate(self.vertices)
-            if v.parent == i or v.remote == i
-        ]
-
-    def is_leaf(self, i: int) -> bool:
-        return not any(v.parent == i for v in self.vertices)
-
     def ancestors(self, i: int) -> list[int]:
         """Proper ancestors of i, nearest first."""
         out = []
@@ -168,8 +157,8 @@ def validate(diagram: EnriquesDiagram) -> Violation | None:
 
 
 def _proximity(diagram: EnriquesDiagram) -> tuple[list[int], list[bool]]:
-    """Per vertex, in one pass: the total weight proximate to it, and whether
-    it has a child.  Agrees with ``proximate_to`` and ``is_leaf``."""
+    """Per vertex, in one pass: the total weight of the vertices proximate to it
+    (its children and its remote satellites), and whether it has a child."""
     loads = [0] * len(diagram)
     has_child = [False] * len(diagram)
     for v in diagram.vertices:

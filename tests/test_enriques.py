@@ -86,11 +86,9 @@ class TestValidate:
                     verts[i] = Vertex(v.weight, v.parent, v.parent)
                     variants.append(EnriquesDiagram(tuple(verts)))
             for x in variants:
-                loads = [
-                    sum(x.vertices[j].weight for j in x.proximate_to(i))
-                    for i in range(len(x))
-                ]
-                leaves = [x.is_leaf(i) for i in range(len(x))]
+                loads = [sum(v.weight for v in x.vertices if i in (v.parent, v.remote))
+                         for i in range(len(x))]
+                leaves = [all(v.parent != i for v in x.vertices) for i in range(len(x))]
                 got_loads, has_child = _proximity(x)
                 assert got_loads == loads
                 assert [not c for c in has_child] == leaves
