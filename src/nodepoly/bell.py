@@ -14,8 +14,9 @@ differentiating the identity in t:
     P_{n+1} = sum_{k=0}^{n} C(n, k) * a_{k+1} * P_{n-k}
 
 ``bell_value`` runs this recurrence on the values themselves, polynomials or
-scalars, moved into one variable context first; each P_{k+1} is one sum of
-products, accumulated in one coefficient map.  So the same construction gives
+scalars, moved into one variable context first, as the kernel's one loop
+``bell_recurrence``: on integer numerators over D^k, D the lcm of the values'
+denominators, reduced once at the end.  So the same construction gives
 exact counts over plain rationals, the back ends' polynomial classes and, at
 the symbols a_1..a_n, ``bell_polynomial`` itself.  Truncating above a
 weighted degree is a ring homomorphism, so the class of truncated arguments
@@ -25,10 +26,10 @@ is the truncation of the class.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Sequence
 
-from .exactpoly import Poly, Scalar, in_one_context, sum_of_products
+from .exactpoly import Poly, Scalar, bell_recurrence, in_one_context
 
 #: Orders above this are refused to bound term growth; the counts computed
 #: by this package need n <= 8.
@@ -57,12 +58,10 @@ def bell_value(
         raise ValueError(f"order {n} exceeds the supported cap {MAX_ORDER}")
     args = [one, *values[:n]]
     images, unit = in_one_context(dict(enumerate(args)))
-    bell = [unit]
-    for k in range(n):
-        # P_{k+1} = sum_{j=0}^{k} C(k, j) a_{j+1} P_{k-j}
-        terms = [(comb(k, j), images[j + 1], bell[k - j]) for j in range(k + 1)]
-        bell.append(sum_of_products(terms))
-    return bell[n] if any(isinstance(a, Poly) for a in args) else bell[n].constant_value()
+    # the basis is the values themselves: a_{j+1} is row j, (0, ..., 0, 1)
+    rows = [(0,) * j + (1,) for j in range(n)]
+    value = bell_recurrence(unit, [images[j] for j in range(1, n + 1)], rows)
+    return value if any(isinstance(a, Poly) for a in args) else value.constant_value()
 
 
 def nodal_class(aq: Sequence[Poly | Scalar], one: Poly | Scalar) -> Poly | Fraction:

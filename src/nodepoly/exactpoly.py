@@ -13,9 +13,11 @@ substrate for the whole package and never touches floating point.
 
 Two polynomials over different variable contexts are reconciled by extending each to
 the union context with zero exponents, so ``v + q1`` just works; ``in_one_context`` does
-so once for the images of ``substitute`` and the values ``integrate`` uses, and each of the
-two sums its terms in one coefficient map; ``evaluate`` sums exact scalars in one loop over the
-same power tables as ``substitute``.  Equality is semantic: it compares reconciled terms.
+so once for the images of ``substitute``, the values ``integrate`` uses and the values of
+``bell.bell_value``.  The first two sum their terms in one coefficient map, and the third
+runs ``bell_recurrence``, the Bell recurrence in one loop on numerator maps; ``evaluate`` sums
+exact scalars in one loop over the same power tables as ``substitute``.  Equality is
+semantic: it compares reconciled terms.
 
 The canonical text form sorts terms by graded-lexicographic order on exponent
 vectors, highest first, and prints coefficients as ``num/den`` with the
@@ -28,7 +30,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import mul, or_
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, Sequence
@@ -503,6 +505,52 @@ def sum_of_products(terms: Sequence[tuple[int, Poly, Poly]]) -> Poly:
     if reduce(or_, out, 0) & guards:
         raise ValueError(f"a product exponent exceeds MAX_EXPONENT = {MAX_EXPONENT}")
     return Poly._new(variables, {k: c for k, c in out.items() if c}, den)
+
+
+def bell_recurrence(
+    one: Poly, basis: Sequence[Poly], forms: Sequence[Sequence[int]], den: int = 1
+) -> Poly:
+    """P_n(a_1, ..., a_n)/den, n = len(forms), where a_j = sum_i forms[j-1][i]*basis[i],
+    by P_{k+1} = sum_j C(k, j)*a_{j+1}*P_{k-j} from P_0 = ``one``; a short row leaves
+    the rest of the basis at 0.
+
+    ``one`` and the basis must be in one context, else ValueError.  With D the lcm of the
+    basis' denominators, each a_j is one map of integer numerators over D^j, so P_k, of
+    weight k when a_j has weight j, is one over D^k; each step keeps a product's
+    ``MAX_EXPONENT`` guard, and the result is reduced once.
+    """
+    variables = one._variables
+    for b in basis:
+        if b._variables != variables:
+            raise ValueError(f"operands over {b._variables}, not {variables}")
+    lcd = lcm(*(b._den for b in basis))
+    scaled = [(lcd // b._den, b._num.items()) for b in basis]
+    aq = []
+    for j, row in enumerate(forms):
+        out: dict[int, int] = {}
+        get, lift = out.get, lcd ** j
+        for c, (scale, items) in zip(row, scaled):
+            if c:
+                c *= scale * lift
+                for k, v in items:
+                    out[k] = get(k, 0) + c * v
+        aq.append([(k, v) for k, v in out.items() if v])
+    guards = (1 << _SLOT_BITS * len(variables)) // _SLOT << _SLOT_BITS - 1  # as in a product
+    bell = [one._num]
+    for k in range(len(aq)):
+        out = {}
+        get = out.get
+        for j in range(k + 1):
+            scale, right = comb(k, j), bell[k - j].items()
+            for ka, ca in aq[j]:
+                ca *= scale
+                for kb, cb in right:
+                    key = ka + kb
+                    out[key] = get(key, 0) + ca * cb
+        if reduce(or_, out, 0) & guards:
+            raise ValueError(f"a product exponent exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+        bell.append({key: c for key, c in out.items() if c})
+    return Poly._new(variables, bell[-1], one._den * lcd ** len(aq) * den)
 
 
 def in_one_context(images: Mapping[Any, Poly | Scalar]) -> tuple[dict[Any, Poly], Poly]:

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Iterable, NamedTuple
 
-from .bell import nodal_class
-from .exactpoly import ExactnessError, Poly, Scalar, integer, integrate, parse, sum_of_products
+from .exactpoly import ExactnessError, Poly, Scalar, bell_recurrence, integer, integrate, parse
 from .nodegen import node_polynomial
 
 #: The surface grading: c and K have degree 1, the point class X degree 2.
@@ -58,7 +58,7 @@ class ChernNumbers(NamedTuple("ChernNumbers", [(name, Poly) for name in "dksx"])
     """The four surface invariants, as polynomials in the formal parameter m.
 
     Each number may be a ``Poly`` or a scalar.  Construction, also by ``of``, ``_make``
-    and ``_replace``, puts it in the context ``("m",)``, where ``surface_aq`` multiplies them.
+    and ``_replace``, puts it in the context ``("m",)``, where the kernel combines them.
     """
 
     __slots__ = ()
@@ -111,22 +111,25 @@ def _universal_aq(q: int) -> tuple[int, ...]:
 
 
 def surface_aq(q: int, cn: ChernNumbers) -> Poly:
-    """a_q in m: the cached form's coefficients times the Chern numbers, in (d, k, s, x) order."""
-    return sum_of_products([(c, number, _ONE) for c, number in zip(_universal_aq(q), cn)])
+    """a_q in m: the cached form's integer coefficients on the Chern numbers, in (d, k, s, x)
+    order, through the kernel's linear map, as P_1(a_q) = a_q, the route of ``severi_degree``."""
+    return bell_recurrence(_ONE, cn, [_universal_aq(q)])
 
 
 def severi_degree(r: int, cn: ChernNumbers | None = None) -> Poly:
     """The node polynomial N_r as a polynomial in m.
 
-    N_r = P_r(a_1,...,a_r)/r!.  Defaults to the plane.  The polynomial may
-    have rational coefficients (N_2 carries a 3/2), but its values at the
+    N_r = P_r(a_1,...,a_r)/r!, in one kernel pass: a_1..a_r are the cached forms'
+    integer coefficients on the Chern numbers' numerators, over one lcm, and the Bell
+    recurrence runs on them with r! in the final denominator.  Defaults to the plane.  The
+    polynomial may have rational coefficients (N_2 carries a 3/2), but its values at the
     integers in the validity range are the actual curve counts.
     """
     if not 0 <= r <= 8:
         raise ValueError(f"r must be in 0..8: {r}")
     if cn is None:
         cn = ChernNumbers.plane()
-    return nodal_class([surface_aq(q, cn) for q in range(1, r + 1)], _ONE)
+    return bell_recurrence(_ONE, cn, [_universal_aq(q) for q in range(1, r + 1)], factorial(r))
 
 
 @lru_cache(maxsize=None)

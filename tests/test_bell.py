@@ -138,6 +138,18 @@ class TestNodalClass:
         assert truncated != nodal_class(aq, one)
 
 
+class TestExponentGuard:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_checked_at_every_step(self, n):
+        """x^(2^30) squared is x^(2^31), one past MAX_EXPONENT.  At n = 4 the last step's
+        a_1^4 is x^(2^32), whose guard bit is clear again, so only a check at every step
+        of the fused loop sees the overflow."""
+        x = Poly(("x",), {(2**30,): 1})
+        with pytest.raises(ValueError, match="MAX_EXPONENT") as raised:
+            bell_value(n, [x] + [Poly.zero(("x",))] * (n - 1), Poly.constant(1, ("x",)))
+        assert raised.traceback[-1].name == "bell_recurrence"
+
+
 #: str(bell_polynomial(n)) for n = 0..8, as the symbolic construction printed them.
 BELL_TEXT = [
     "1",

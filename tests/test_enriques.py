@@ -278,6 +278,37 @@ class TestEnumeration:
         assert all(a < b for a, b in zip(order, order[1:]))
 
 
+
+def largest_weight(key) -> int:
+    """The largest vertex weight of the tree with this canonical key."""
+    weight, _, children = key
+    return max([weight, *map(largest_weight, children)])
+
+
+def euler_transform(trees: list[int]) -> list[int]:
+    """Multisets of trees by total size, from ``trees[n]``, the trees of size n: the
+    coefficients of prod_n (1 - x^n)^(-trees[n]) up to x^(len(trees) - 1)."""
+    forests = [1] + [0] * (len(trees) - 1)
+    for n, count in enumerate(trees):
+        for _ in range(count if n else 0):  # one factor 1/(1 - x^n) at a time
+            for i in range(n, len(forests)):
+                forests[i] += forests[i - n]
+    return forests
+
+
+class TestForestOracle:
+    def test_forest_counts_are_the_euler_transform_of_tree_counts(self):
+        """A forest is a multiset of single-root trees, so the diagrams of at most v
+        vertices with weights up to w follow from the tree counts by size and largest
+        weight; this route uses neither the forest walk nor its weight cap."""
+        catalog = [(size, largest_weight(key)) for key, size in _single_root_catalog(7, 6)]
+        for w in range(1, 7):
+            forests = euler_transform([sum(1 for size, top in catalog if size == n and top <= w)
+                                       for n in range(8)])
+            for v in range(1, 8):
+                assert sum(1 for _ in enumeration_text(v, w)) == sum(forests[1:v + 1]), (v, w)
+
+
 @cache
 def labelled_catalog(max_vertices, max_weight):
     """Canonical keys of the valid single-root trees, found by brute force,

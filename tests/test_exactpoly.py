@@ -18,10 +18,11 @@ import nodepoly
 from nodepoly import abelian, nodegen
 from nodepoly.abelian import _FIBER, _FIBER_INTEGRALS
 from nodepoly.exactpoly import (
-    MAX_EXPONENT, ExactnessError, Poly, in_one_context, integer, integrate, parse, sum_of_products,
+    MAX_EXPONENT, ExactnessError, Poly, bell_recurrence, in_one_context, integer, integrate, parse,
+    sum_of_products,
 )
 from nodepoly.nodegen import node_polynomial
-from oracles import term_by_term
+from oracles import complete_bell, term_by_term
 
 V = Poly.variable
 C = Poly.constant
@@ -776,6 +777,44 @@ class TestSumOfProducts:
         total = sum_of_products(triples)
         assert total == expected
         assert total.denominator == expected.denominator
+
+
+class TestBellRecurrence:
+    XY = ("x", "y")
+
+    def test_forms_over_a_basis_with_a_short_row(self):
+        x, y = parse("1/2*x + 1/3", self.XY), parse("2/5*y - x", self.XY)
+        a1, a2, a3 = 2 * x - y, 3 * y, x
+        value = bell_recurrence(Poly.constant(1, self.XY), [x, y], [(2, -1), (0, 3), (1,)], 7)
+        assert value == (a1 ** 3 + 3 * a1 * a2 + a3) / 7
+        assert math.gcd(value.denominator, *value._num.values()) == 1
+
+    def test_no_forms_is_p0_over_den(self):
+        three = Poly.constant(3, self.XY)
+        assert bell_recurrence(three, [V("x", self.XY)], [], 4) == Fraction(3, 4)
+
+    def test_full_cancellation_is_zero_over_one(self):
+        x = parse("1/3*x", self.XY)
+        value = bell_recurrence(Poly.constant(1, self.XY), [x, x], [(1, -1), (2, -2)], 5)
+        assert value.is_zero() and value.denominator == 1 and value.variables == self.XY
+
+    @pytest.mark.parametrize("other", [("y", "x"), ("x",), ("x", "y", "z")])
+    def test_operands_must_share_one_context(self, other):
+        one, x = Poly.constant(1, self.XY), V("x", self.XY)
+        with pytest.raises(ValueError, match="not"):
+            bell_recurrence(one, [x, Poly.constant(2, other)], [(1,)])
+        with pytest.raises(ValueError, match="not"):
+            bell_recurrence(Poly.constant(1, other), [x], [(1,)])
+
+    @given(st.lists(polys, max_size=3), st.lists(st.lists(st.integers(-3, 3), max_size=3),
+                                                 max_size=4), st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sums_of_products_and_the_plain_recurrence(self, basis, forms, den):
+        aq = [sum((c * b for c, b in zip(row, basis)), Poly.zero(VARS)) for row in forms]
+        value = bell_recurrence(Poly.constant(1, VARS), basis, forms, den)
+        expected = Poly.zero(VARS) + complete_bell(aq) / den  # a Poly also when no forms
+        assert value == expected
+        assert value.denominator == expected.denominator
 
 
 class TestRefusals:

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from nodepoly.surface import (
     severi_degree,
     surface_aq,
 )
-from oracles import k3_counts, plane_severi_degree
+from oracles import complete_bell, k3_counts, plane_severi_degree
 
 GOLDEN = Path(__file__).parent / "golden"
 PLANE = ChernNumbers.plane()
@@ -175,6 +176,54 @@ class TestSeveriDegrees:
         assert (info.currsize, info.misses, info.hits) == (9, 9, 18)
         # a caller's Chern numbers key no cache
         assert not hasattr(severi_degree, "cache_info")
+
+    @pytest.mark.parametrize("cn", [ChernNumbers.of(12, -5, 3, 24), ChernNumbers.of(
+        3 * Poly.variable("m") ** 2, -2 * Poly.variable("m"), 9, 3)], ids=["integer", "poly"])
+    def test_one_pass_builds_one_poly(self, cn, monkeypatch):
+        """a_1..a_8 and the Bell recurrence run on numerator maps, reduced once: one
+        ``Poly`` per N_8, where a sum of products per a_q and per Bell step made 18."""
+        expected = severi_degree(8, cn)  # fills the cached forms
+        real, built = Poly._new.__func__, []
+
+        def counting(cls, *args):
+            built.append(args)
+            return real(cls, *args)
+
+        monkeypatch.setattr(Poly, "_new", classmethod(counting))
+        assert severi_degree(8, cn) == expected
+        assert 0 < len(built) <= 2
+
+
+def seeded_chern_numbers(kind: str, seed: int) -> ChernNumbers:
+    """Chern numbers of one kind: integers, fractions over distinct denominators,
+    polynomials in m with fractional coefficients, or zeros."""
+    rng = random.Random(seed)
+    if kind == "integers":
+        return ChernNumbers.of(*(rng.randint(-40, 40) for _ in range(4)))
+    if kind == "fractions":
+        dens = rng.sample([2, 3, 4, 5, 7, 9], 4)
+        return ChernNumbers.of(*(Fraction(rng.choice((-1, 1)) * (rng.randint(0, 9) * den + 1), den)
+                                 for den in dens))
+    if kind == "polys":
+        return ChernNumbers.of(*(Poly(("m",), {(e,): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                               for e in range(3)}) for _ in range(4)))
+    return ChernNumbers.of(0, 0, 0, 0)
+
+
+class TestSecondRoute:
+    """N_r from the cached forms by ``*`` and ``+`` and the oracle's Bell recurrence,
+    with no call to the kernel's fused loop."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("kind", ["integers", "fractions", "polys", "zeros"])
+    def test_severi_degree_term_by_term(self, kind, seed):
+        cn = seeded_chern_numbers(kind, seed)
+        if kind == "fractions":
+            assert lcm(*(number.denominator for number in cn)) > 1
+        aq = [sum((c * number for c, number in zip(surface._universal_aq(q), cn)), 0 * cn.d)
+              for q in range(1, 9)]
+        for r in range(9):
+            assert severi_degree(r, cn) == complete_bell(aq[:r]) / factorial(r), r
 
 
 def k3(g: int, r: int) -> ChernNumbers:
