@@ -278,7 +278,6 @@ class TestEnumeration:
         assert all(a < b for a, b in zip(order, order[1:]))
 
 
-
 def largest_weight(key) -> int:
     """The largest vertex weight of the tree with this canonical key."""
     weight, _, children = key
@@ -289,8 +288,8 @@ def euler_transform(trees: list[int]) -> list[int]:
     """Multisets of trees by total size, from ``trees[n]``, the trees of size n: the
     coefficients of prod_n (1 - x^n)^(-trees[n]) up to x^(len(trees) - 1)."""
     forests = [1] + [0] * (len(trees) - 1)
-    for n, count in enumerate(trees):
-        for _ in range(count if n else 0):  # one factor 1/(1 - x^n) at a time
+    for n in range(1, len(trees)):
+        for _ in range(trees[n]):  # one factor 1/(1 - x^n) at a time
             for i in range(n, len(forests)):
                 forests[i] += forests[i - n]
     return forests
