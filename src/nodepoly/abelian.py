@@ -125,8 +125,7 @@ def _pushed_count(r: int, table: dict) -> Poly:
     is eliminated by adjunction, d = 2g + 2r - 2.
     """
     pushed = integrate(nodal_locus_class(r), _BASE, table)
-    g = Poly.variable("g")
-    return pushed.substitute({"h": 1, "d": 2 * g + 2 * r - 2}).in_context(("g",))
+    return pushed.substitute({"h": 1, "d": 2 * Poly.variable("g") + 2 * r - 2})
 
 
 @lru_cache(maxsize=None)

@@ -201,10 +201,9 @@ def _cmd_abelian_count(args: SimpleNamespace) -> list[OutputRecord]:
     if args.g is not None and args.g < 1:
         raise ValueError(f"g must be at least 1: {args.g}")
     poly = abelian.abelian_count(args.r)
-    if args.g is None:
-        return [_record(args, "abelian-count", (str(poly),))]
-    value = integer(poly.evaluate({"g": args.g}), f"the count at r={args.r}, g={args.g}")
-    return [_record(args, "abelian-count", (value,))]
+    result = str(poly) if args.g is None else integer(
+        poly.evaluate({"g": args.g}), f"the count at r={args.r}, g={args.g}")
+    return [_record(args, "abelian-count", (result,))]
 
 
 def _cmd_enriques_enumerate(args: SimpleNamespace) -> list[OutputRecord]:
@@ -468,12 +467,10 @@ def run(argv: Sequence[str]) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except ValueError as exc:  # a bad diagram file or a value outside the domain
+    except (ValueError, AssertionError, OSError) as exc:
         print(f"nodecount: error: {exc}", file=sys.stderr)
-        return 2
-    except (AssertionError, OSError) as exc:
-        print(f"nodecount: error: {exc}", file=sys.stderr)
-        return 1
+        # 2 for a bad diagram file or a value outside the domain
+        return 2 if isinstance(exc, ValueError) else 1
     return 0
 
 

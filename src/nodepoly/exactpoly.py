@@ -587,12 +587,14 @@ def integrate(
 ) -> Poly:
     """The linear map sending each monomial in the graded variables through ``table``.
 
-    Keys are exponent tuples of the graded variables, in the order of
-    ``weights``; a monomial with no key integrates to 0.  The remaining
-    variables are carried through unchanged, in their order in ``poly``, followed
-    by those of the values used.  The terms are grouped by key in one pass, and the
-    groups times their values meet in one ``sum_of_products``.
+    Each key holds one exponent per graded variable, in the order of ``weights``
+    (ValueError otherwise); a monomial with no key integrates to 0.  The other
+    variables are carried through unchanged, in their order in ``poly``, then those
+    of the values used.  The terms are grouped by key in one pass, and the groups
+    times their values meet in one ``sum_of_products``.
     """
+    if any(len(key) != len(weights) for key in table):
+        raise ValueError(f"a table key needs one exponent per graded variable {tuple(weights)}")
     shift = dict(zip(poly._variables, _shifts(len(poly._variables))))
     picks = [shift.get(v) for v in weights]
     rest = tuple(v for v in poly._variables if v not in weights)

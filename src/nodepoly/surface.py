@@ -100,7 +100,7 @@ def _universal_aq(q: int) -> tuple[int, ...]:
     """
     images = {"v": parse("c + h"), "w1": parse("K"), "w2": parse("X")}
     bq = node_polynomial(q).substitute(images)
-    if not bq.is_weighted_homogeneous({"c": 1, "K": 1, "h": 1, "X": 2}, q + 2):
+    if not bq.is_weighted_homogeneous({**_SURFACE, "h": 1}, q + 2):
         raise ExactnessError(f"pushforward of b_{q} is not concentrated in h^{q}")
     total = integrate(bq, _SURFACE, _SURFACE_INTEGRALS)
     return tuple(

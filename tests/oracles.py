@@ -227,6 +227,20 @@ def complete_bell(a) -> Fraction:
     return p[-1]
 
 
+def bell_by_series(a, one):
+    """P_n(a_1, ..., a_n), n = len(a), in any ring with identity ``one``: n! times
+    the t^n coefficient of exp(U) = sum_i U^i/i!, U = sum_j a_j t^j/j!.  Uses
+    ``+``, ``*`` and exact scalars only."""
+    n, zero = len(a), 0 * one
+    u = [zero] + [Fraction(1, factorial(j)) * a[j - 1] for j in range(1, n + 1)]
+    power = [one] + [zero] * n  # the coefficients of t^0..t^n in U^i, from i = 0
+    total = power[n]
+    for i in range(1, n + 1):
+        power = [sum((power[k] * u[m - k] for k in range(i - 1, m)), zero) for m in range(n + 1)]
+        total = total + Fraction(1, factorial(i)) * power[n]
+    return factorial(n) * total
+
+
 def plane_severi_degree(d: int, delta: int) -> int:
     """N^{d,delta}: plane curves of degree d with delta nodes through
     d(d+3)/2 - delta general points, by the Caporaso–Harris recursion.
@@ -342,27 +356,28 @@ def node_polynomials_by_recursion() -> tuple[dict, ...]:
     q2: list[dict] = []
     q3: list[dict] = []
     for s in range(8):
-        bq = _poly_product(_bell_by_partitions(q2), X2)
+        bq = poly_product(_bell_by_partitions(q2), X2)
         if s >= 3:
-            bq = _poly_sum(bq, _poly_product(_bell_by_partitions(q3[:s - 3]), X3),
-                           -s * (s - 1) * (s - 2))
+            bq = poly_sum(bq, poly_product(_bell_by_partitions(q3[:s - 3]), X3),
+                          -s * (s - 1) * (s - 2))
         if s == 7:
-            bq = _poly_sum(bq, X4, X4_MULTIPLIER)
+            bq = poly_sum(bq, X4, X4_MULTIPLIER)
         b.append(bq)
         q2.append(_q_transform(2, bq))
         q3.append(_q_transform(3, bq))
     return tuple(b)
 
 
-def _poly_sum(x: dict, y: dict, scale: int = 1) -> dict:
-    """x + scale * y, without zero coefficients."""
+def poly_sum(x: dict, y: dict, scale=1) -> dict:
+    """x + scale * y, for maps from exponent tuples to coefficients, without zeros."""
     out = dict(x)
     for key, c in y.items():
         out[key] = out.get(key, 0) + scale * c
     return {key: c for key, c in out.items() if c}
 
 
-def _poly_product(x: dict, y: dict) -> dict:
+def poly_product(x: dict, y: dict) -> dict:
+    """x * y, for maps from exponent tuples to coefficients, without zeros."""
     out: dict = {}
     for kx, cx in x.items():
         for ky, cy in y.items():
@@ -385,8 +400,8 @@ def _bell_by_partitions(a: list[dict]) -> dict:
         for j, m in Counter(parts).items():
             weight //= factorial(j) ** m * factorial(m)
             for _ in range(m):
-                term = _poly_product(term, a[j - 1])
-        total = _poly_sum(total, term, weight)
+                term = poly_product(term, a[j - 1])
+        total = poly_sum(total, term, weight)
     return total
 
 

@@ -92,6 +92,11 @@ class TestAq:
         assert (info.currsize, info.misses, info.hits) == (9, 9, 9)
 
     @pytest.mark.parametrize("r", range(9))
+    def test_counts_are_polynomials_in_g_alone(self, r):
+        # the substitution for h and d already lands in ("g",); nothing re-aligns it
+        assert abelian_count(r).variables == fixed_class_count(r).variables == ("g",)
+
+    @pytest.mark.parametrize("r", range(9))
     def test_grade_bookkeeping(self, r):
         # the r-nodal class decomposes as beta0 h^r + beta1 h^(r-1) + beta2 h^(r-2)
         cls = nodal_locus_class(r).in_context(("C1", "C2", "h", "d"))

@@ -5,41 +5,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from importlib import import_module
-from math import comb, factorial
+from math import factorial
 
 import pytest
 
 from nodepoly import bell, cli
 from nodepoly.bell import MAX_ORDER, bell_polynomial, bell_value, nodal_class
 from nodepoly.exactpoly import Poly, parse
-from oracles import term_by_term
-
-
-def series_exponentiation(n: int) -> Poly:
-    """Oracle: truncated formal exponentiation of sum a_j t^j / j!.
-
-    Works with lists of Poly coefficients in t (index = power of t) and
-    returns n! times the t^n coefficient of the exponential.
-    """
-    ctx = tuple(f"a{j}" for j in range(1, n + 1))
-    # u[j] = a_j / j! for j >= 1
-    u = [Poly.zero(ctx)] + [Poly.variable(f"a{j}", ctx) / factorial(j) for j in range(1, n + 1)]
-    total = [Poly.zero(ctx) for _ in range(n + 1)]
-    total[0] = Poly.constant(1, ctx)
-    term = [Poly.zero(ctx) for _ in range(n + 1)]
-    term[0] = Poly.constant(1, ctx)
-    for i in range(1, n + 1):
-        # term <- term * u, truncated at t^n
-        new = [Poly.zero(ctx) for _ in range(n + 1)]
-        for a in range(n + 1):
-            if term[a].is_zero():
-                continue
-            for b in range(1, n + 1 - a):
-                new[a + b] = new[a + b] + term[a] * u[b]
-        term = [t / i for t in new]
-        for j in range(n + 1):
-            total[j] = total[j] + term[j]
-    return total[n] * factorial(n)
+from oracles import bell_by_series, complete_bell, term_by_term
 
 
 class TestSymbolic:
@@ -51,7 +24,9 @@ class TestSymbolic:
 
     @pytest.mark.parametrize("n", range(11))
     def test_recurrence_matches_series_oracle(self, n):
-        assert bell_polynomial(n) == series_exponentiation(n)
+        ctx = tuple(f"a{j}" for j in range(1, n + 1))
+        symbols = [Poly.variable(name, ctx) for name in ctx]
+        assert bell_polynomial(n) == bell_by_series(symbols, Poly.constant(1, ctx))
 
     @pytest.mark.parametrize("n", range(11))
     def test_weighted_homogeneity(self, n):
@@ -101,15 +76,9 @@ class TestEvaluation:
         assert bell_value(0, [], one) == one
 
     def test_matches_direct_recurrence_on_numbers(self):
-        # P_{k+1} = sum C(k, j) a_{j+1} P_{k-j} evaluated at a_j = j
         values = [Fraction(j) for j in range(1, 9)]
-        direct = [Fraction(1)]
-        for k in range(8):
-            direct.append(
-                sum(comb(k, j) * values[j] * direct[k - j] for j in range(k + 1))
-            )
         for n in range(9):
-            assert bell_value(n, values) == direct[n]
+            assert bell_value(n, values) == complete_bell(values[:n])
 
 
 class TestNodalClass:

@@ -22,7 +22,7 @@ from nodepoly.exactpoly import (
     sum_of_products,
 )
 from nodepoly.nodegen import node_polynomial
-from oracles import complete_bell, term_by_term
+from oracles import complete_bell, poly_product, poly_sum, term_by_term
 
 V = Poly.variable
 C = Poly.constant
@@ -613,26 +613,6 @@ raw_terms = st.dictionaries(
 fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
 
 
-def _clean(terms):
-    return {e: c for e, c in terms.items() if c}
-
-
-def _ref_add(a, b, sign=1):
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + sign * c
-    return _clean(out)
-
-
-def _ref_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return _clean(out)
-
-
 def _ref_evaluate(a, point):
     total = Fraction(0)
     for e, c in a.items():
@@ -647,13 +627,13 @@ class TestDifferential:
 
     @given(raw_terms, raw_terms, fractions, st.tuples(fractions, fractions, fractions), st.integers(0, 3))
     def test_operations_match_the_reference(self, raw_a, raw_b, c, point, k):
-        a, b = _clean(raw_a), _clean(raw_b)
+        a, b = poly_sum({}, raw_a), poly_sum({}, raw_b)
         p, q = Poly(VARS, raw_a), Poly(VARS, raw_b)
         assert p.terms == a
-        assert (p + q).terms == _ref_add(a, b)
-        assert (p - q).terms == _ref_add(a, b, -1)
-        assert (p * q).terms == _ref_mul(a, b)
-        assert (p * c).terms == (c * p).terms == _clean({e: v * c for e, v in a.items()})
+        assert (p + q).terms == poly_sum(a, b)
+        assert (p - q).terms == poly_sum(a, b, -1)
+        assert (p * q).terms == poly_product(a, b)
+        assert (p * c).terms == (c * p).terms == poly_sum({}, a, c)
         if c:
             assert (p / c).terms == {e: v / c for e, v in a.items()}
         moved = {(w2, 0, v, w1): x for (v, w1, w2), x in a.items()}
@@ -662,7 +642,7 @@ class TestDifferential:
         assert inserted.terms == {(v, 0, w1, w2): x for (v, w1, w2), x in a.items()}
         reversed_ = inserted.in_context(("w2", "w1", "v"))  # drops u, reverses the rest
         assert reversed_.terms == {(w2, w1, v): x for (v, w1, w2), x in a.items()}
-        coeff = _clean({(v, w2): x for (v, w1, w2), x in a.items() if w1 == k})
+        coeff = {(v, w2): x for (v, w1, w2), x in a.items() if w1 == k}
         assert p.coefficient_of("w1", k).terms == coeff
         assert p.evaluate(dict(zip(VARS, point))) == _ref_evaluate(a, point)
 
@@ -827,9 +807,11 @@ class TestRefusals:
             (lambda: parse("v*w1").in_context(("v",)), "cannot drop used variable 'w1'"),
             (lambda: V("v") ** -1, "exponent must be a non-negative integer: -1"),
             (lambda: V("v") ** 2.0, "exponent must be a non-negative integer: 2.0"),
+            (lambda: integrate(parse("x*y"), {"x": 1, "y": 1}, {(1,): 7}),
+             "a table key needs one exponent per graded variable ('x', 'y')"),
         ],
         ids=["repeated-variable", "variable-outside", "non-constant", "drop-used",
-             "negative-power", "non-int-power"],
+             "negative-power", "non-int-power", "short-table-key"],
     )
     def test_refused_with_its_message(self, call, fragment):
         with pytest.raises(ValueError, match=re.escape(fragment)):
